@@ -19,10 +19,8 @@ attributable to one code path.
 from __future__ import annotations
 
 import json
-import math
 import time
 
-from repro.flash.batch import OpBatch
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 
@@ -143,68 +141,6 @@ def time_erase():
     return best_of(REPS, make_run)
 
 
-def time_program_batched():
-    def make_run():
-        chip = FlashChip(GEO)
-        n = GEO.total_pages
-        batch = OpBatch()
-        for ppn in range(n):
-            batch.program(ppn, PAYLOAD)
-
-        return lambda: chip.execute_batch(batch), n
-
-    return best_of(REPS, make_run)
-
-
-def time_read_batched():
-    chip = FlashChip(GEO)
-    n = GEO.total_pages
-    for ppn in range(n):
-        chip.program_page(ppn, PAYLOAD)
-    batch = OpBatch()
-    for ppn in range(n):
-        batch.read(ppn)
-
-    def make_run():
-        return lambda: chip.execute_batch(batch), n
-
-    return best_of(REPS, make_run)
-
-
-def time_reprogram_batched():
-    def make_run():
-        chip = FlashChip(GEO)
-        n = GEO.total_pages
-        for ppn in range(n):
-            chip.program_page(ppn, PAYLOAD)
-        batch = OpBatch()
-        for ppn in range(n):
-            batch.reprogram(ppn, PAYLOAD)
-
-        return lambda: chip.execute_batch(batch), n
-
-    return best_of(REPS, make_run)
-
-
-def time_partial_program_batched():
-    appends_per_page = 64
-
-    def make_run():
-        chip = FlashChip(GEO)
-        n_pages = GEO.total_pages
-        for ppn in range(n_pages):
-            chip.program_page(ppn, b"base")
-        batch = OpBatch()
-        for ppn in range(n_pages):
-            for i in range(appends_per_page):
-                batch.partial(ppn, 64 + i * 8, b"\x00" * 8)
-        n = n_pages * appends_per_page
-
-        return lambda: chip.execute_batch(batch), n
-
-    return best_of(REPS, make_run)
-
-
 def main():
     per_op = {
         "program_page": round(time_program(), 3),
@@ -213,32 +149,10 @@ def main():
         "partial_program_8B": round(time_partial_program(), 3),
         "erase_block": round(time_erase(), 3),
     }
-    # Same operation streams through FlashChip.execute_batch (one Python
-    # call per run, bit-identical outcomes).  Erase has no batched row in
-    # the geomean: its cost is the per-page media reset both paths share,
-    # so batching cannot improve it and it would only dilute the ratio.
-    batched = {
-        "program_page": round(time_program_batched(), 3),
-        "read_page": round(time_read_batched(), 3),
-        "reprogram_page": round(time_reprogram_batched(), 3),
-        "partial_program_8B": round(time_partial_program_batched(), 3),
-    }
-    speedups = {name: per_op[name] / batched[name] for name in batched}
-    geomean = math.exp(
-        sum(math.log(s) for s in speedups.values()) / len(speedups)
-    )
     results = {
         "geometry": "4096B page / 128B oob / 64 pages x 64 blocks (SLC)",
         "unit": "us_per_op_best_of_%d" % REPS,
         **per_op,
-        "execute_batch": {
-            "unit": "us_per_op_best_of_%d (whole-run batches)" % REPS,
-            **batched,
-            "speedup_vs_per_op": {
-                name: round(s, 2) for name, s in speedups.items()
-            },
-            "geomean_speedup": round(geomean, 2),
-        },
     }
     print(json.dumps(results, indent=2))
 

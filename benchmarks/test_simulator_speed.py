@@ -12,7 +12,6 @@ import pytest
 from repro.core.config import SCHEME_2X4
 from repro.core.delta import DeltaRecord
 from repro.core.reconstruct import reconstruct
-from repro.flash.batch import OpBatch
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.page_mapping import PageMappingFtl
@@ -135,35 +134,6 @@ def test_disabled_observability_overhead():
     ratio = min(off_times) / min(base_times)
     print(f"\ndisabled-observability overhead: {100 * (ratio - 1):+.1f}%")
     assert ratio <= 1.05, f"disabled tracer costs {100 * (ratio - 1):.1f}% > 5%"
-
-
-def test_batched_read_throughput(benchmark, chip):
-    # One execute_batch call reading every page: the per-op dispatch
-    # cost the batch path amortizes away.  Reads are idempotent, so the
-    # same pre-built batch replays every round.
-    payload = bytes(range(256)) * 16
-    for ppn in range(GEO.total_pages):
-        chip.program_page(ppn, payload)
-    batch = OpBatch()
-    for ppn in range(GEO.total_pages):
-        batch.read(ppn)
-
-    benchmark(lambda: chip.execute_batch(batch))
-
-
-def test_batched_erase_program_cycle(benchmark, chip):
-    # A repeatable whole-chip cycle in one batch: erase each block, then
-    # re-program all of its pages.  Round N+1 sees the same chip state
-    # as round N, so pytest-benchmark's repetition is sound.
-    payload = bytes(range(256)) * 16
-    batch = OpBatch()
-    for block in range(GEO.blocks):
-        batch.erase(block)
-        base = block * GEO.pages_per_block
-        for i in range(GEO.pages_per_block):
-            batch.program(base + i, payload)
-
-    benchmark(lambda: chip.execute_batch(batch))
 
 
 def test_reconstruct_throughput(benchmark):

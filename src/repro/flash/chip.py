@@ -16,36 +16,18 @@ Every operation advances the shared :class:`~repro.flash.latency.SimClock`
 and updates :class:`~repro.flash.stats.FlashStats`; programs and
 reprograms trigger the mode's program-interference model against
 neighbouring wordlines.
-
-:meth:`FlashChip.execute_batch` executes a whole encoded run of these
-operations (see :mod:`repro.flash.batch`) in one Python call with
-bit-identical simulated outcomes — the speed-round-2 op-level batching
-layer.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.flash.batch import (
-    OP_DTYPE,
-    OP_ERASE,
-    OP_PARTIAL,
-    OP_PROGRAM,
-    OP_READ,
-    OP_REPROGRAM,
-    OpBatch,
-)
 from repro.flash.block import EraseBlock
-from repro.flash.cellmodel import ERASED_BYTE, first_illegal_offset
+from repro.flash.cellmodel import ERASED_BYTE
 from repro.flash.ecc import DEFAULT_ECC, EccConfig
 from repro.flash.errors import (
     BadBlockError,
     EccUncorrectableError,
     IllegalAddressError,
-    IllegalProgramError,
     ModeViolationError,
-    WriteToProgrammedPageError,
 )
 from repro.flash.geometry import FlashGeometry
 from repro.flash.interference import DisturbModel, victim_table
@@ -150,18 +132,6 @@ class FlashChip:
         self._program_msb_us = latency.program_msb_us
         self._reprogram_us = latency.reprogram_us
         self._bus_us_per_byte = latency.bus_us_per_byte
-        # Batched execution: ppn -> page object without the divmod +
-        # two list hops, the (constant) bus charge of a full read, and
-        # preallocated legality scratch so the inlined reprogram check
-        # allocates nothing per op.
-        self._pages_flat = [
-            page for block in self.blocks for page in block.pages
-        ]
-        self._read_bus_us = (
-            (geometry.page_size + geometry.oob_size) * latency.bus_us_per_byte
-        )
-        self._scratch_data = np.empty(geometry.page_size, dtype=np.uint8)
-        self._scratch_oob = np.empty(geometry.oob_size, dtype=np.uint8)
 
     # ------------------------------------------------------------------ #
     # Addressing helpers
@@ -391,536 +361,6 @@ class FlashChip:
         tr = self.tracer
         if tr.enabled:
             tr.record("chip_erase", dur_us=self.latency.erase_us, block=block_idx)
-
-    # ------------------------------------------------------------------ #
-    # Batched execution
-    # ------------------------------------------------------------------ #
-
-    def execute_batch(
-        self,
-        ops: np.ndarray | OpBatch,
-        payload: bytes | bytearray | memoryview | None = None,
-    ) -> list[bytes]:
-        """Execute an encoded run of operations in one call.
-
-        ``ops`` is either an :class:`~repro.flash.batch.OpBatch` builder or
-        a numpy structured array of :data:`~repro.flash.batch.OP_DTYPE`
-        rows with ``payload`` as its data heap (see :mod:`repro.flash.batch`
-        for the encoding).  Operations execute strictly in array order with
-        per-op semantics — validation order, error types/messages, latency
-        charges, stats counters and disturb draws are bit-identical to the
-        equivalent sequence of per-op method calls; only host wall-clock
-        differs.  Reads use ``check_ecc=True``.
-
-        Returns:
-            Data images of the ``OP_READ`` rows, in batch order.
-
-        Raises:
-            Exactly what the per-op sequence would raise, at the same
-            operation.  The accounting of every *completed* operation (and,
-            for an ECC-uncorrectable read, the failed sense itself) is
-            committed before the error propagates, and the raised exception
-            carries ``batch_ops_completed`` — the number of fully executed
-            leading operations — and ``batch_results`` — the read results
-            those completed operations produced.
-        """
-        heap: bytes | bytearray | memoryview
-        if isinstance(ops, OpBatch):
-            if payload is not None:
-                raise ValueError("payload is implicit when passing an OpBatch")
-            rows = ops._rows
-            heap = memoryview(ops._payload)
-        else:
-            if ops.dtype.names != OP_DTYPE.names:
-                raise ValueError(
-                    f"ops must be a structured array of OP_DTYPE rows, got "
-                    f"dtype {ops.dtype}"
-                )
-            # Structured-array tolist() decodes every row to a plain tuple
-            # of Python ints in one vectorized call; iterating np.void rows
-            # directly would pay numpy scalar boxing per field access.
-            rows = ops.tolist()
-            heap = memoryview(payload if payload is not None else b"")
-        if not rows:
-            return []
-        if (
-            self.sanitizer.enabled
-            or self.fault_injector is not None
-            or self.ledger.enabled
-            or self.tracer.enabled
-        ):
-            return self._execute_batch_compat(rows, heap)
-        return self._execute_batch_fast(rows, heap)
-
-    def _execute_batch_compat(
-        self,
-        rows: list[tuple[int, int, int, int, int, int, int, int]],
-        heap: memoryview,
-    ) -> list[bytes]:
-        """Per-op fallback used while instrumentation is attached.
-
-        The sanitizer, fault injector, write ledger and tracer all hook the
-        public per-op methods; routing batches through those methods keeps
-        every hook's semantics (tear points, per-cause attribution, span
-        events) exactly as documented, at per-op speed.  Profiles that need
-        the fast path run with instrumentation off, which is the default.
-        """
-        out: list[bytes] = []
-        index = 0
-        try:
-            for index, (
-                kind,
-                target,
-                offset,
-                dpos,
-                dlen,
-                ooff,
-                opos,
-                olen,
-            ) in enumerate(rows):
-                if kind == OP_READ:
-                    out.append(self.read_page(target))
-                elif kind == OP_ERASE:
-                    self.erase_block(target)
-                else:
-                    data = bytes(heap[dpos : dpos + dlen]) if dlen >= 0 else b""
-                    oob = bytes(heap[opos : opos + olen]) if olen >= 0 else None
-                    if kind == OP_PROGRAM:
-                        self.program_page(target, data, oob)
-                    elif kind == OP_REPROGRAM:
-                        self.reprogram_page(target, data, oob)
-                    elif kind == OP_PARTIAL:
-                        self.partial_program(
-                            target,
-                            offset,
-                            data,
-                            oob_offset=None if ooff < 0 else ooff,
-                            oob_payload=oob,
-                        )
-                    else:
-                        raise ValueError(f"unknown op code {kind}")
-        except Exception as exc:
-            exc.batch_ops_completed = index  # type: ignore[attr-defined]
-            exc.batch_results = out  # type: ignore[attr-defined]
-            raise
-        return out
-
-    def _execute_batch_fast(
-        self,
-        rows: list[tuple[int, int, int, int, int, int, int, int]],
-        heap: memoryview,
-    ) -> list[bytes]:
-        """Hot batched loop: per-op outcomes, one call's worth of overhead.
-
-        Three techniques, all bit-identical to the per-op path (locked by
-        tests/flash/test_batch_equivalence.py):
-
-        * **Hoisting + local accounting** — every lookup the per-op path
-          repeats per call (mode masks, latency floats, clock/breakdown
-          dict entries, stats attributes) is resolved once; latency and
-          counters accumulate in locals and are committed via
-          :meth:`SimClock.commit_batch` under the batched-charging
-          contract (same float additions, same order — see
-          :meth:`SimClock.category_us`), also on the error path
-          (``finally``) so a mid-batch failure leaves exactly the per-op
-          sequence's state.
-        * **Inlined page mutations** — the program / reprogram / partial
-          transition checks and buffer writes from
-          :class:`~repro.flash.page.PhysicalPage` are open-coded here
-          (same validation order, same error messages), with the
-          reprogram legality check running through preallocated scratch
-          buffers instead of fresh temporaries.
-        * **Deferred, merged disturb draws** — instead of one
-          ``Generator.binomial`` call per op, victim captures queue up
-          and consecutive same-rate runs are drawn in one vectorized
-          call.  NumPy fills element-wise from the same bit stream, so
-          the merged rows are bit-identical to the sequential per-op
-          draws (see :meth:`DisturbModel.draw`).  Draws are flushed
-          before any read (disturb decides ECC outcomes), before any
-          erase (which clears disturb), at batch end, and on the error
-          path — the points where deferral could become observable.
-        """
-        out: list[bytes] = []
-        out_append = out.append
-        blocks = self.blocks
-        pages_flat = self._pages_flat
-        ppb = self._ppb
-        total_pages = self._total_pages
-        page_size = self._page_size
-        oob_size = self.geometry.oob_size
-        usable = self._usable_mask
-        appendable = self._appendable_mask
-        lsb = self._lsb_mask
-        pad_tail = self._pad_tail
-        erased = PageState.ERASED
-        programmed = PageState.PROGRAMMED
-        ecc_t = self.ecc.correctable_bits
-        read_us = self._read_us
-        read_bus_us = self._read_bus_us
-        read_nbytes = page_size + oob_size
-        lsb_us = self._program_lsb_us
-        msb_us = self._program_msb_us
-        reprogram_us = self._reprogram_us
-        erase_us = self.latency.erase_us
-        bus_per = self._bus_us_per_byte
-        mode_name = self.mode.value
-        check_block = self.geometry.check_block
-        victims_tab = self._victims
-        rate_program = self._rate_program
-        rate_reprogram = self._rate_reprogram
-        scratch_data = self._scratch_data
-        scratch_oob = self._scratch_oob
-        np_frombuffer = np.frombuffer
-        np_or = np.bitwise_or
-        uint8 = np.uint8
-        dm = self._disturb
-        stats = self.stats
-
-        clock = self.clock
-        now = clock.now_us
-        read_t = clock.category_us("read")
-        prog_t = clock.category_us("program")
-        erase_t = clock.category_us("erase")
-        bus_t = clock.category_us("bus")
-        n_reads = 0
-        n_progs = 0
-        n_reprogs = 0
-        n_erases = 0
-        b_read = 0
-        b_prog = 0
-        ecc_corr = 0
-        ecc_unc = 0
-
-        # Deferred disturb draws: (rate, [victim pages]) in op order.
-        pending: list[tuple[float, list[PhysicalPage]]] = []
-        pending_append = pending.append
-
-        def flush_draws() -> None:
-            """Draw every pending victim row, merging same-rate runs.
-
-            One ``binomial(size=(rows, codewords))`` call per maximal
-            same-rate run consumes the RNG stream exactly like the
-            sequential per-op calls it replaces; per-op totals and the
-            skip-if-zero behaviour are then reconstructed per entry.
-            """
-            binom = dm._binomial
-            bits = dm._bits_per_codeword
-            n_cw = dm._n_codewords
-            n_pending = len(pending)
-            i = 0
-            while i < n_pending:
-                rate = pending[i][0]
-                j = i
-                n_rows = 0
-                while j < n_pending and pending[j][0] == rate:
-                    n_rows += len(pending[j][1])
-                    j += 1
-                counts = binom(bits, rate, size=(n_rows, n_cw))
-                if not counts.any():
-                    # Realistic disturb rates make all-zero draws the
-                    # overwhelmingly common case; one vectorized scan
-                    # replaces per-row Python sums.  Zero draws change
-                    # no victim state and no counter, so skipping the
-                    # entry walk is observationally identical.
-                    i = j
-                    continue
-                row_totals = counts.sum(axis=1).tolist()
-                cursor = 0
-                while i < j:
-                    victims = pending[i][1]
-                    entry_total = 0
-                    for k in range(len(victims)):
-                        entry_total += row_totals[cursor + k]
-                    if entry_total:
-                        dm.total_injected_bits += entry_total
-                        for k, victim in enumerate(victims):
-                            t = row_totals[cursor + k]
-                            if t:
-                                victim.add_disturb(counts[cursor + k])
-                                stats.disturb_bit_flips += t
-                    cursor += len(victims)
-                    i += 1
-            pending.clear()
-
-        index = 0
-        try:
-            for index, (
-                kind,
-                target,
-                offset,
-                dpos,
-                dlen,
-                ooff,
-                opos,
-                olen,
-            ) in enumerate(rows):
-                if kind == OP_READ:
-                    if pending:
-                        flush_draws()
-                    if not 0 <= target < total_pages:
-                        raise IllegalAddressError(
-                            f"ppn {target} out of range [0, {total_pages})"
-                        )
-                    page = pages_flat[target]
-                    if page.state is programmed:
-                        worst = page._disturb_worst
-                        if worst > ecc_t:
-                            # The sense happened: charge it, count the
-                            # event, then fail — mirrors FlashChip._read.
-                            now += read_us
-                            read_t += read_us
-                            n_reads += 1
-                            ecc_unc += 1
-                            raise EccUncorrectableError(
-                                f"codeword with {worst} bit errors exceeds "
-                                f"t={ecc_t}",
-                                bit_errors=worst,
-                            )
-                        ecc_corr += page._disturb_total
-                    out_append(bytes(page._data))
-                    now += read_us
-                    now += read_bus_us
-                    read_t += read_us
-                    bus_t += read_bus_us
-                    n_reads += 1
-                    b_read += read_nbytes
-                elif kind == OP_PROGRAM or kind == OP_REPROGRAM:
-                    if not 0 <= target < total_pages:
-                        raise IllegalAddressError(
-                            f"ppn {target} out of range [0, {total_pages})"
-                        )
-                    block_idx = target // ppb
-                    page_idx = target - block_idx * ppb
-                    block = blocks[block_idx]
-                    if block.is_bad:
-                        raise BadBlockError(f"block {block_idx} is retired")
-                    reprogram = kind == OP_REPROGRAM
-                    if reprogram:
-                        if not appendable[page_idx]:
-                            raise ModeViolationError(
-                                f"page {page_idx} may not be reprogrammed in "
-                                f"{mode_name} mode"
-                            )
-                    elif not usable[page_idx]:
-                        raise ModeViolationError(
-                            f"page {page_idx} in block {block_idx} is not "
-                            f"usable in {mode_name} mode"
-                        )
-                    if dlen < 0:
-                        dlen = 0
-                    data: bytes | memoryview
-                    if dlen == page_size:
-                        data = heap[dpos : dpos + dlen]
-                    elif dlen < page_size:
-                        data = bytes(heap[dpos : dpos + dlen]) + pad_tail[dlen:]
-                    else:
-                        raise ValueError(
-                            f"data of {dlen} B exceeds page size {page_size}"
-                        )
-                    page = pages_flat[target]
-                    if reprogram:
-                        # Inlined PhysicalPage.reprogram: sizes, then data
-                        # legality, then OOB legality, then mutate.
-                        if olen >= 0 and olen != oob_size:
-                            raise ValueError(
-                                f"oob must be exactly {oob_size} bytes, "
-                                f"got {olen}"
-                            )
-                        # Legality via set-union compare: new is reachable
-                        # iff its set bits are a subset of the old image's,
-                        # i.e. ``new | old == old``.  The OR into scratch
-                        # plus a bytes memcmp beats ``(new & ~old).any()``
-                        # by ~2 us/page (ndarray.any() on uint8 is slow).
-                        old_np = page._data_np
-                        new_u8 = np_frombuffer(data, dtype=uint8)
-                        np_or(new_u8, old_np, out=scratch_data)
-                        if bytes(scratch_data) != page._data:
-                            off = first_illegal_offset(old_np, new_u8)
-                            raise IllegalProgramError(
-                                f"reprogram needs erase: data byte {off} "
-                                f"sets a cleared bit",
-                                first_bad_offset=off,
-                            )
-                        oob: memoryview | None
-                        if olen >= 0:
-                            oob = heap[opos : opos + olen]
-                            oob_u8 = np_frombuffer(oob, dtype=uint8)
-                            np_or(oob_u8, page._oob_np, out=scratch_oob)
-                            if bytes(scratch_oob) != page._oob:
-                                off = first_illegal_offset(
-                                    page._oob_np, oob_u8
-                                )
-                                raise IllegalProgramError(
-                                    f"reprogram needs erase: OOB byte {off} "
-                                    f"sets a cleared bit",
-                                    first_bad_offset=off,
-                                )
-                            page._oob[:] = oob
-                            nbytes = page_size + olen
-                        else:
-                            nbytes = page_size
-                        page._data[:] = data
-                        page.state = programmed
-                        page.program_passes += 1
-                        op_us = reprogram_us
-                        n_reprogs += 1
-                        rate = rate_reprogram
-                    else:
-                        # Inlined PhysicalPage.program: state, sizes, mutate.
-                        if page.state is not erased:
-                            raise WriteToProgrammedPageError(
-                                "plain program of a programmed page; "
-                                "reprogram() is explicit"
-                            )
-                        if olen >= 0:
-                            if olen != oob_size:
-                                raise ValueError(
-                                    f"oob must be exactly {oob_size} bytes, "
-                                    f"got {olen}"
-                                )
-                            page._oob[:] = heap[opos : opos + olen]
-                            nbytes = page_size + olen
-                        else:
-                            nbytes = page_size
-                        page._data[:] = data
-                        page.state = programmed
-                        page.program_passes = 1
-                        if lsb[page_idx]:
-                            op_us = lsb_us
-                        else:
-                            op_us = msb_us
-                        n_progs += 1
-                        rate = rate_program
-                    now += op_us
-                    now += nbytes * bus_per
-                    prog_t += op_us
-                    bus_t += nbytes * bus_per
-                    b_prog += nbytes
-                    if rate != 0.0:
-                        block_pages = block.pages
-                        victims: list[PhysicalPage] | None = None
-                        for v in victims_tab[page_idx]:
-                            vp = block_pages[v]
-                            if vp.state is programmed:
-                                if victims is None:
-                                    victims = [vp]
-                                else:
-                                    victims.append(vp)
-                        if victims is not None:
-                            pending_append((rate, victims))
-                elif kind == OP_PARTIAL:
-                    if not 0 <= target < total_pages:
-                        raise IllegalAddressError(
-                            f"ppn {target} out of range [0, {total_pages})"
-                        )
-                    block_idx = target // ppb
-                    page_idx = target - block_idx * ppb
-                    page = pages_flat[target]
-                    if dlen < 0:
-                        dlen = 0
-                    if offset < 0 or offset + dlen > page_size:
-                        raise ValueError(
-                            f"range [{offset}, {offset + dlen}) exceeds page "
-                            f"size {page_size}"
-                        )
-                    # Inlined check_append_target: the range is erased iff
-                    # it memcmp-equals an all-FF run of the same length
-                    # (pad_tail is page_size bytes of 0xFF).  ~16x faster
-                    # than the strip() scan on multi-KB append ranges.
-                    if page._data[offset : offset + dlen] != pad_tail[:dlen]:
-                        raise IllegalProgramError(
-                            f"append target [{offset}, {offset + dlen}) is "
-                            f"not erased",
-                            first_bad_offset=offset,
-                        )
-                    oob_arg: bytes | None
-                    if olen >= 0:
-                        if ooff < 0:
-                            raise ValueError("oob_payload requires oob_offset")
-                        if ooff + olen > oob_size:
-                            raise ValueError("OOB range out of bounds")
-                        oob_arg = bytes(heap[opos : opos + olen])
-                    else:
-                        oob_arg = None
-                    if blocks[block_idx].is_bad:
-                        raise BadBlockError(f"block {block_idx} is retired")
-                    if not appendable[page_idx]:
-                        raise ModeViolationError(
-                            f"page {page_idx} may not be reprogrammed in "
-                            f"{mode_name} mode"
-                        )
-                    # Inlined append_range: OOB legality gates everything,
-                    # so a failing partial mutates nothing.
-                    if oob_arg is not None:
-                        old = page._oob_np[ooff : ooff + olen]
-                        bad = first_illegal_offset(old, oob_arg)
-                        if bad != -1:
-                            off = ooff + bad
-                            raise IllegalProgramError(
-                                f"reprogram needs erase: OOB byte {off} "
-                                f"sets a cleared bit",
-                                first_bad_offset=off,
-                            )
-                        page._oob[ooff : ooff + olen] = oob_arg
-                    page._data[offset : offset + dlen] = heap[dpos : dpos + dlen]
-                    page.state = programmed
-                    page.program_passes += 1
-                    transferred = dlen + (olen if olen >= 0 else 0)
-                    now += reprogram_us
-                    now += transferred * bus_per
-                    prog_t += reprogram_us
-                    bus_t += transferred * bus_per
-                    n_reprogs += 1
-                    b_prog += transferred
-                    if rate_reprogram != 0.0:
-                        block = blocks[block_idx]
-                        block_pages = block.pages
-                        victims = None
-                        for v in victims_tab[page_idx]:
-                            vp = block_pages[v]
-                            if vp.state is programmed:
-                                if victims is None:
-                                    victims = [vp]
-                                else:
-                                    victims.append(vp)
-                        if victims is not None:
-                            pending_append((rate_reprogram, victims))
-                elif kind == OP_ERASE:
-                    if pending:
-                        flush_draws()
-                    check_block(target)
-                    blocks[target].erase()
-                    now += erase_us
-                    erase_t += erase_us
-                    n_erases += 1
-                else:
-                    raise ValueError(f"unknown op code {kind}")
-        except Exception as exc:
-            exc.batch_ops_completed = index  # type: ignore[attr-defined]
-            exc.batch_results = out  # type: ignore[attr-defined]
-            raise
-        finally:
-            if pending:
-                flush_draws()
-            categories: dict[str, float] = {}
-            if n_reads:
-                categories["read"] = read_t
-            if n_progs or n_reprogs:
-                categories["program"] = prog_t
-            if b_read or n_progs or n_reprogs:
-                categories["bus"] = bus_t
-            if n_erases:
-                categories["erase"] = erase_t
-            clock.commit_batch(now, categories)
-            stats.page_reads += n_reads
-            stats.page_programs += n_progs
-            stats.page_reprograms += n_reprogs
-            stats.block_erases += n_erases
-            stats.bytes_read += b_read
-            stats.bytes_programmed += b_prog
-            stats.ecc_corrected_bits += ecc_corr
-            stats.ecc_uncorrectable_events += ecc_unc
-        return out
 
     # ------------------------------------------------------------------ #
     # Internals

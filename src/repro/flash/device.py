@@ -53,15 +53,6 @@ from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from repro.flash.batch import (
-    OP_DTYPE,
-    OP_ERASE,
-    OP_PARTIAL,
-    OP_PROGRAM,
-    OP_READ,
-    OP_REPROGRAM,
-    OpBatch,
-)
 from repro.flash.chip import FlashChip
 from repro.flash.ecc import DEFAULT_ECC, EccConfig
 from repro.flash.errors import IllegalAddressError
@@ -510,78 +501,6 @@ class FlashDevice:
             lambda: self._erase_undo(channel.chip, local_block),
             barrier=True,
         )
-
-    def execute_batch(
-        self, ops: np.ndarray | OpBatch, payload: bytes | None = None
-    ) -> list[bytes]:
-        """Execute a whole op batch; see :meth:`FlashChip.execute_batch`.
-
-        A single-channel non-overlapped device is bit-identical to a
-        bare chip (same clock, identity page numbering), so the batch
-        passes straight through to the chip's fast path.  A multi-channel
-        (or overlapped) device must route every op through the channel
-        scheduler to keep stall/pushback accounting exact, so it runs the
-        batch as a per-op loop — same semantics, one Python call for the
-        caller either way.
-
-        Failures carry ``batch_ops_completed`` / ``batch_results`` exactly
-        like the chip-level batch API.
-        """
-        if len(self._channels) == 1 and not self._overlap:
-            # Global ppn == local ppn when one chip holds every block.
-            return self.chips[0].execute_batch(ops, payload)
-        if isinstance(ops, OpBatch):
-            if payload is not None:
-                raise ValueError("payload must be None when passing an OpBatch")
-            rows = ops._rows
-            heap: memoryview = memoryview(ops._payload)
-        else:
-            if ops.dtype.names != OP_DTYPE.names:
-                raise ValueError(
-                    f"ops must be an OP_DTYPE structured array, got {ops.dtype}"
-                )
-            rows = ops.tolist()
-            heap = memoryview(payload if payload is not None else b"")
-        out: list[bytes] = []
-        index = 0
-        try:
-            for index, (
-                kind,
-                target,
-                offset,
-                dpos,
-                dlen,
-                ooff,
-                opos,
-                olen,
-            ) in enumerate(rows):
-                if kind == OP_READ:
-                    out.append(self.read_page(target))
-                    continue
-                if kind == OP_ERASE:
-                    self.erase_block(target)
-                    continue
-                data = bytes(heap[dpos : dpos + dlen]) if dlen >= 0 else b""
-                oob = bytes(heap[opos : opos + olen]) if olen >= 0 else None
-                if kind == OP_PROGRAM:
-                    self.program_page(target, data, oob)
-                elif kind == OP_REPROGRAM:
-                    self.reprogram_page(target, data, oob)
-                elif kind == OP_PARTIAL:
-                    self.partial_program(
-                        target,
-                        offset,
-                        data,
-                        None if ooff < 0 else ooff,
-                        oob,
-                    )
-                else:
-                    raise ValueError(f"unknown op code {kind}")
-        except Exception as exc:
-            exc.batch_ops_completed = index  # type: ignore[attr-defined]
-            exc.batch_results = out  # type: ignore[attr-defined]
-            raise
-        return out
 
     def sync(self) -> None:
         """Flush barrier: block the host until every in-flight pulse ends.

@@ -41,10 +41,6 @@ class DisturbModel:
         self._rate_reprogram = rules.disturb_rate_reprogram
         self.total_injected_bits = 0
 
-    def rate_for(self, reprogram: bool) -> float:
-        """Per-bit disturb probability of one program/reprogram pulse."""
-        return self._rate_reprogram if reprogram else self._rate_program
-
     def disturb_counts(self, reprogram: bool) -> np.ndarray:
         """Bit-error increments per codeword for one neighbour page.
 
@@ -56,10 +52,6 @@ class DisturbModel:
             Array of per-codeword disturbed-bit counts (often all zero).
         """
         return self.draw(reprogram, 1)[0][0]
-
-    def disturb_counts_batch(self, reprogram: bool, victims: int) -> np.ndarray:
-        """Bit-error increments for ``victims`` neighbour pages at once."""
-        return self.draw(reprogram, victims)[0]
 
     def draw(
         self, reprogram: bool, victims: int

@@ -102,10 +102,6 @@ class PhysicalPage:
         """
         return memoryview(self._data).toreadonly()
 
-    def oob_view(self) -> memoryview:
-        """Read-only zero-copy view of the pristine OOB image."""
-        return memoryview(self._oob).toreadonly()
-
     def erase(self) -> None:
         """Reset every cell (data and OOB) to the erased state."""
         self._data_np.fill(ERASED_BYTE)

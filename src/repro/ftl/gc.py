@@ -202,10 +202,6 @@ class BlockManager:
         """Physical page currently holding ``lba``, or None if unmapped."""
         return self.mapping.get(lba)
 
-    def valid_pages_in(self, block_id: int) -> int:
-        """Number of valid pages in one owned block."""
-        return self._valid[block_id]
-
     # ------------------------------------------------------------------ #
     # Write path
     # ------------------------------------------------------------------ #
@@ -241,18 +237,6 @@ class BlockManager:
         sz = self.sanitizer
         if sz.enabled:
             sz.check_mapping_pair(self, lba, ppn)
-        return ppn
-
-    def replace_in_place(self, lba: int) -> int:
-        """Book-keeping for an in-place overwrite: mapping is unchanged.
-
-        Returns the ppn so the caller can reprogram it.  No invalidation
-        occurs — that is the entire point of IPA.
-        """
-        self._check_lba(lba)
-        ppn = self.mapping.get(lba)
-        if ppn is None:
-            raise KeyError(f"lba {lba} is unmapped")
         return ppn
 
     def trim(self, lba: int) -> None:

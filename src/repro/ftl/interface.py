@@ -34,13 +34,6 @@ class FlashBackend(Protocol):
     and ``repro.obs.ledger.attach_ledger`` replace them per-instance and
     forward them down to the backend's :class:`BlockManager`\\ s and
     chips, which do the actual charging.
-
-    Batch extensions (also not Protocol members, for the same
-    ``isinstance`` reason): backends may additionally offer
-    ``read_many(lbas)`` / ``write_many(items)`` — outcome-identical
-    batched forms of :meth:`read_page` / :meth:`write_page` that execute
-    a whole run per Python call.  Callers feature-detect with
-    ``hasattr`` and fall back to the per-op methods.
     """
 
     chip: FlashChip

@@ -18,10 +18,8 @@ and writes the delta's ECC into the page's next free OOB slot (Figure 3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from repro.core.config import DELTA_METADATA_SIZE, PAIR_SIZE
-from repro.flash.batch import OpBatch
 from repro.flash.chip import FlashChip
 from repro.flash.ecc import ECC_SLOT_SIZE, OobLayout, crc_slot
 from repro.flash.errors import (
@@ -163,52 +161,6 @@ class Region:
             oob = bytes(oob_buf)
         self._blocks.write(self._local(lba), data, oob)
         self.stats.out_of_place_writes += 1
-
-    def read_many(self, lbas: Sequence[int]) -> list[bytes]:
-        """Read a run of this region's pages as one chip batch.
-
-        Identical outcomes to per-op :meth:`read_page` calls (same
-        ``KeyError`` at the first unwritten LBA, earlier reads still
-        charged); see :meth:`PageMappingFtl.read_many
-        <repro.ftl.page_mapping.PageMappingFtl.read_many>`.
-        """
-        batch = OpBatch()
-        ppn_of = self._blocks.ppn_of
-        local = self._local
-        unwritten: int | None = None
-        for lba in lbas:
-            ppn = ppn_of(local(lba))
-            if ppn is None:
-                unwritten = lba
-                break
-            batch.read(ppn)
-        out: list[bytes] = []
-        if len(batch):
-            stats = self.stats
-            try:
-                out = self.chip.execute_batch(batch)
-            except Exception as exc:
-                done = getattr(exc, "batch_results", [])
-                stats.host_reads += len(done)
-                stats.host_bytes_read += sum(len(d) for d in done)
-                raise
-            stats.host_reads += len(out)
-            stats.host_bytes_read += sum(len(d) for d in out)
-        if unwritten is not None:
-            raise KeyError(
-                f"read of unwritten lba {unwritten} (region {self.name})"
-            )
-        return out
-
-    def write_many(self, items: Iterable[tuple[int, bytes]]) -> None:
-        """Write a run of ``(lba, data)`` pairs (sequential placement)."""
-        if self.tracer.enabled:
-            for lba, data in items:
-                self.write_page(lba, data)
-            return
-        inner = self._write_page_inner
-        for lba, data in items:
-            inner(lba, data)
 
     def write_delta(self, lba: int, offset: int, payload: bytes) -> bool:
         """The paper's command: append a delta-record to the page in place.
@@ -457,54 +409,6 @@ class NoFtlDevice:
     def write_page(self, lba: int, data: bytes) -> None:
         """Out-of-place write via the owning region."""
         self.region_of(lba).write_page(lba, data)
-
-    def read_many(self, lbas: Sequence[int]) -> list[bytes]:
-        """Read a run of pages (possibly spanning regions) in one call.
-
-        All regions share one chip, so the whole run resolves to a
-        single :meth:`FlashChip.execute_batch` call; per-region host
-        counters are settled afterwards in op order.  Outcome-identical
-        to per-op :meth:`read_page` calls, including the ``KeyError``
-        position for unrouted or unwritten LBAs.
-        """
-        batch = OpBatch()
-        owners: list[Region] = []
-        error: KeyError | None = None
-        for lba in lbas:
-            try:
-                region = self.region_of(lba)
-            except KeyError as exc:
-                error = exc
-                break
-            ppn = region._blocks.ppn_of(region._local(lba))
-            if ppn is None:
-                error = KeyError(
-                    f"read of unwritten lba {lba} (region {region.name})"
-                )
-                break
-            batch.read(ppn)
-            owners.append(region)
-        out: list[bytes] = []
-        if len(batch):
-            try:
-                out = self.chip.execute_batch(batch)
-            except Exception as exc:
-                done: list[bytes] = getattr(exc, "batch_results", [])
-                for region, data in zip(owners, done):
-                    region.stats.host_reads += 1
-                    region.stats.host_bytes_read += len(data)
-                raise
-            for region, data in zip(owners, out):
-                region.stats.host_reads += 1
-                region.stats.host_bytes_read += len(data)
-        if error is not None:
-            raise error
-        return out
-
-    def write_many(self, items: Iterable[tuple[int, bytes]]) -> None:
-        """Write a run of ``(lba, data)`` pairs via their owning regions."""
-        for lba, data in items:
-            self.region_of(lba).write_page(lba, data)
 
     def write_delta(self, lba: int, offset: int, payload: bytes) -> bool:
         """Route the write_delta command to the owning region."""

@@ -9,9 +9,6 @@ host's back.  The on-device write-amplification that GC generates is the
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
-from repro.flash.batch import OpBatch
 from repro.flash.chip import FlashChip
 from repro.flash.stats import DeviceStats
 from repro.ftl.gc import BlockManager
@@ -93,62 +90,6 @@ class PageMappingFtl:
         self.stats.host_bytes_written += len(data)
         self._blocks.write(lba, data)
         self.stats.out_of_place_writes += 1
-
-    def read_many(self, lbas: Sequence[int]) -> list[bytes]:
-        """Read a run of logical pages in one call.
-
-        Semantically identical to ``[self.read_page(lba) for lba in
-        lbas]`` — same mapping lookups, same ``KeyError`` at the first
-        unwritten LBA (reads before it still happen and are charged),
-        same clock/stats/ECC outcomes — but the resolved physical reads
-        execute as one :meth:`FlashChip.execute_batch` call.  ``lbas``
-        may be any integer sequence, including a numpy array.
-
-        Optional batch extension: not part of the
-        :class:`~repro.ftl.interface.FlashBackend` Protocol (callers
-        feature-detect with ``hasattr``).
-        """
-        batch = OpBatch()
-        ppn_of = self._blocks.ppn_of
-        unwritten: int | None = None
-        for lba in lbas:
-            ppn = ppn_of(lba)
-            if ppn is None:
-                unwritten = lba  # per-op order: earlier reads still run
-                break
-            batch.read(ppn)
-        out: list[bytes] = []
-        if len(batch):
-            stats = self.stats
-            try:
-                out = self.chip.execute_batch(batch)
-            except Exception as exc:
-                done = getattr(exc, "batch_results", [])
-                stats.host_reads += len(done)
-                stats.host_bytes_read += sum(len(d) for d in done)
-                raise
-            stats.host_reads += len(out)
-            stats.host_bytes_read += sum(len(d) for d in out)
-        if unwritten is not None:
-            raise KeyError(f"read of unwritten lba {unwritten}")
-        return out
-
-    def write_many(self, items: Iterable[tuple[int, bytes]]) -> None:
-        """Write a run of ``(lba, data)`` pairs in one call.
-
-        Placement is stateful per write — each write can invalidate a
-        page, trigger GC, and move the allocation frontier — so the
-        writes execute sequentially under the hood; the batch call
-        amortizes the host-side dispatch of an eviction run.  Optional
-        batch extension (see :meth:`read_many`).
-        """
-        if self.tracer.enabled:
-            for lba, data in items:
-                self.write_page(lba, data)
-            return
-        inner = self._write_page_inner
-        for lba, data in items:
-            inner(lba, data)
 
     def write_delta(self, lba: int, offset: int, payload: bytes) -> bool:
         """Unsupported on a block-device interface: always False."""

@@ -43,8 +43,13 @@ class TestBasicOps:
     def test_double_program_rejected(self):
         chip = make_chip()
         chip.program_page(0, b"abc")
+        stats_before = chip.stats.snapshot()
+        clock_before = dict(chip.clock.breakdown_us)
         with pytest.raises(WriteToProgrammedPageError):
             chip.program_page(0, b"abc")
+        # The rejected program is validated before anything is charged.
+        assert chip.stats == stats_before
+        assert chip.clock.breakdown_us == clock_before
 
     def test_erase_enables_reprogramming(self):
         chip = make_chip()
@@ -298,13 +303,20 @@ class TestInterferenceAndEcc:
         chip.program_page(0, b"victim-lsb")
         chip.program_page(1, b"victim-msb")
         chip.program_page(2, b"appender")
+        reads = 0
         with pytest.raises(EccUncorrectableError):
             for i in range(20_000):
                 chip.partial_program(2, 16 + (i % 400), b"\x00")
                 if i % 50 == 0:
+                    reads += 1
                     chip.read_page(1)
             pytest.fail("full-MLC append storm should have broken ECC")
-        assert chip.stats.ecc_uncorrectable_events >= 1
+        assert chip.stats.ecc_uncorrectable_events == 1
+        # The failed sense itself is charged (latency and read count).
+        assert chip.stats.page_reads == reads
+        assert chip.clock.breakdown_us["read"] == pytest.approx(
+            reads * chip.latency.read_us
+        )
 
     def test_ecc_corrected_bits_counted(self):
         chip = make_chip(mode=FlashMode.MLC, seed=11)

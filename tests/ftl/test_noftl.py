@@ -54,6 +54,12 @@ class TestRegions:
         dev.write_page(cold_lba, image(b"cold data"))
         assert dev.read_page(0)[:8] == b"hot data"
         assert dev.read_page(cold_lba)[:9] == b"cold data"
+        # Unrouted and unwritten LBAs raise without charging any region.
+        with pytest.raises(KeyError, match="not in any region"):
+            dev.read_page(dev.logical_pages)
+        with pytest.raises(KeyError, match=r"unwritten lba \d+ \(region cold\)"):
+            dev.read_page(cold_lba + 1)
+        assert [r.stats.host_reads for r in dev.regions] == [1, 1]
 
 
 class TestWriteDelta:

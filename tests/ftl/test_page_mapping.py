@@ -29,6 +29,15 @@ class TestBasics:
         ftl = make_ftl()
         with pytest.raises(KeyError):
             ftl.read_page(0)
+        # A failed read after a good one leaves the good one charged and
+        # charges nothing itself.
+        ftl.write_page(1, b"x")
+        ftl.read_page(1)
+        reads_before = ftl.chip.stats.page_reads
+        with pytest.raises(KeyError, match="unwritten lba 99"):
+            ftl.read_page(99)
+        assert ftl.stats.host_reads == 1
+        assert ftl.chip.stats.page_reads == reads_before
 
     def test_overwrite_returns_latest(self):
         ftl = make_ftl()

@@ -14,6 +14,7 @@ import dataclasses
 import pytest
 
 from repro.flash.chip import FlashChip
+from repro.flash.errors import IllegalProgramError, WriteToProgrammedPageError
 from repro.flash.geometry import FlashGeometry
 from repro.flash.sanitize import ENV_VAR, PhysicsViolationError, Sanitizer
 from repro.flash.stats import DeviceStats
@@ -108,10 +109,19 @@ class TestCharging:
 class TestChipConservation:
     def test_chip_programs_mirror_into_ledger(self):
         chip = _chip()
+        chip.sanitizer = Sanitizer()
         ledger = _watched(chip)
         with ledger.cause("host_heap"):
             chip.program_page(0, b"\xf0" * GEO.page_size)
             chip.reprogram_page(0, b"\x70" * GEO.page_size)
+            # Rejected operations keep their production exception under
+            # the sanitizer and charge neither the chip nor the ledger.
+            with pytest.raises(WriteToProgrammedPageError):
+                chip.program_page(0, b"\x00" * GEO.page_size)
+            with pytest.raises(IllegalProgramError):
+                chip.reprogram_page(0, b"\xff" * GEO.page_size)
+            with pytest.raises(IllegalProgramError):
+                chip.partial_program(0, 0, b"\xff")
         chip.erase_block(0)  # outside any scope -> unattributed
         assert ledger.by_cause["host_heap"].programs == 1
         assert ledger.by_cause["host_heap"].reprograms == 1

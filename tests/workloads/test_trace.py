@@ -1,6 +1,10 @@
 """Trace capture/replay (the paper's IPL comparison method)."""
 
+import dataclasses
+
+import repro.workloads.trace as trace_module
 from repro.core.config import SCHEME_2X4, IpaScheme
+from repro.flash.modes import FlashMode
 from repro.workloads.tpcb import TpcbWorkload
 from repro.workloads.trace import (
     Trace,
@@ -145,3 +149,71 @@ class TestReplayReadAccounting:
         result = replay_on_ipa(trace, SCHEME_2X4)
         assert result.device_stats.host_reads == 1
         assert result.device_stats.host_writes == 0
+
+
+class TestReplayOutcomePin:
+    """Exact outcome of one IPA replay, so a rewrite of the replay loop
+    (or of the device path under it) cannot drift silently.
+
+    These are reference values: never regenerate them to make a failing
+    run pass.
+    """
+
+    def test_ipa_replay_outcome_is_pinned(self, monkeypatch):
+        devices = []
+
+        class RecordingDevice(trace_module.NoFtlDevice):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                devices.append(self)
+
+        monkeypatch.setattr(trace_module, "NoFtlDevice", RecordingDevice)
+        result = replay_on_ipa(small_trace(400), SCHEME_2X4, FlashMode.PSLC)
+
+        assert dataclasses.asdict(result.device_stats) == {
+            "host_reads": 334,
+            "host_writes": 112,
+            "host_delta_writes": 253,
+            "host_bytes_read": 684032,
+            "host_bytes_written": 242785,
+            "page_invalidations": 101,
+            "in_place_appends": 253,
+            "out_of_place_writes": 112,
+            "gc_page_migrations": 11,
+            "gc_erases": 2,
+            "trims": 0,
+            "extra": {
+                "background_gc_erases": 0,
+                "background_gc_migrations": 0,
+                "gc_emergency_syncs": 0,
+                "retired_blocks": 0,
+                "wear_leveling_moves": 0,
+            },
+        }
+        assert dataclasses.asdict(result.flash_stats) == {
+            "page_reads": 345,
+            "page_programs": 123,
+            "page_reprograms": 253,
+            "block_erases": 2,
+            "bytes_read": 750720,
+            "bytes_programmed": 281057,
+            "ecc_corrected_bits": 0,
+            "ecc_uncorrectable_events": 0,
+            "disturb_bit_flips": 0,
+        }
+        assert (
+            result.recorded_misses,
+            result.replayed_reads,
+            result.skipped_misses,
+            result.preseeded_pages,
+        ) == (334, 334, 0, 80)
+        # Simulated busy time (pre-seeding included), exact to the bit.
+        (device,) = devices
+        clock = device.chip.clock
+        assert clock.now_us == 222746.71400000266
+        assert clock.breakdown_us == {
+            "bus": 2411.7140000000127,
+            "erase": 7000.0,
+            "program": 187460.0,
+            "read": 25875.0,
+        }
