@@ -14,7 +14,7 @@ column of Table 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 #: Header and footer sizes of the NSM page layout (see
 #: :mod:`repro.storage.layout`); their sum is the paper's delta_metadata.
@@ -39,35 +39,33 @@ class IpaScheme:
     Attributes:
         n_records: N — delta-records the page's delta area can hold.
         m_bytes: M — maximum changed bytes captured by one delta-record.
+        record_size: Bytes of one delta-record: 1 + 3M + delta_metadata
+            (0 when disabled).  Derived at construction.
+        delta_area_size: Bytes reserved at the end of every page:
+            N x record_size.  Derived at construction.
     """
 
     n_records: int
     m_bytes: int
+    record_size: int = field(init=False, repr=False, compare=False)
+    delta_area_size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n_records == 0 and self.m_bytes == 0:
-            return  # the [0 x 0] disabled scheme
-        if not 1 <= self.n_records <= MAX_N:
-            raise ValueError(f"N must be in [1, {MAX_N}], got {self.n_records}")
-        if not 1 <= self.m_bytes <= MAX_M:
-            raise ValueError(f"M must be in [1, {MAX_M}], got {self.m_bytes}")
+        if not (self.n_records == 0 and self.m_bytes == 0):
+            if not 1 <= self.n_records <= MAX_N:
+                raise ValueError(f"N must be in [1, {MAX_N}], got {self.n_records}")
+            if not 1 <= self.m_bytes <= MAX_M:
+                raise ValueError(f"M must be in [1, {MAX_M}], got {self.m_bytes}")
+        record = (
+            1 + PAIR_SIZE * self.m_bytes + DELTA_METADATA_SIZE if self.enabled else 0
+        )
+        object.__setattr__(self, "record_size", record)
+        object.__setattr__(self, "delta_area_size", self.n_records * record)
 
     @property
     def enabled(self) -> bool:
         """False for the [0 x 0] traditional baseline."""
         return self.n_records > 0
-
-    @property
-    def record_size(self) -> int:
-        """Bytes of one delta-record: 1 + 3M + delta_metadata."""
-        if not self.enabled:
-            return 0
-        return 1 + PAIR_SIZE * self.m_bytes + DELTA_METADATA_SIZE
-
-    @property
-    def delta_area_size(self) -> int:
-        """Bytes reserved at the end of every page: N x record_size."""
-        return self.n_records * self.record_size
 
     def __str__(self) -> str:
         return f"[{self.n_records}x{self.m_bytes}]"

@@ -13,12 +13,91 @@ The tracker attaches to a frame's page as a write hook.  Each *update
 operation* (bracketed by :meth:`begin_op`/:meth:`end_op`) becomes one
 candidate delta-record; header/footer bytes are not counted against M
 because they travel wholesale in the record's delta_metadata.
+
+Representation.  A hooked write ``(offset, old, new)`` is reduced once to
+the integer ``x = int.from_bytes(old) ^ int.from_bytes(new)``
+(little-endian, so byte ``i`` of the span is bits ``8i..8i+7``); its
+non-zero bytes are exactly the changed bytes.  The span is split at the
+header and footer boundaries and each part is OR-ed into a per-residency
+mask (header, body, footer), so a mask's non-zero bytes are the distinct
+bytes changed by any write since the last flush.  Inside an operation
+the tracker keeps the op's ``(offset, x, new)`` parts, body and
+metadata apart: the union of the body parts is the op's size, and the
+WAL redo payload :attr:`last_op_changes` is built from the parts only
+when read (each part's old bytes are ``new ^ x``, the before-image).
+The per-op ``offset -> value`` dict that becomes a delta-record is built
+only while the page is still IPA-eligible; a span with more than M
+changed bytes flags the page out-of-place without building it.
 """
 
 from __future__ import annotations
 
+from itertools import compress
+
 from repro.core.config import IpaScheme
 from repro.core.delta import DeltaRecord
+
+#: One region's part of a hooked write: (offset, old ^ new, new bytes).
+_Part = tuple[int, int, bytes]
+
+
+def _nonzero_bytes(x: int) -> int:
+    """Number of non-zero bytes of ``x``."""
+    length = (x.bit_length() + 7) >> 3
+    return length - x.to_bytes(length, "little").count(0)
+
+
+def _nonzero_offsets(x: int, base: int) -> set[int]:
+    """``base + i`` for every non-zero byte ``i`` of ``x``."""
+    raw = x.to_bytes((x.bit_length() + 7) >> 3, "little")
+    return {base + i for i, b in enumerate(raw) if b}
+
+
+def _changed_bytes(x: int, limit: int) -> list[int]:
+    """Indices of the non-zero bytes of ``x``, ascending; at most ``limit``."""
+    out: list[int] = []
+    i = 0
+    while x and len(out) < limit:
+        skip = ((x & -x).bit_length() - 1) >> 3
+        i += skip
+        out.append(i)
+        x >>= (skip + 1) << 3
+        i += 1
+    return out
+
+
+def _op_size(parts: list[_Part]) -> int:
+    """Distinct bytes changed by an operation's body parts."""
+    if len(parts) <= 1:
+        return _nonzero_bytes(parts[0][1]) if parts else 0
+    # Disjoint parts (a record and its slot) add up; overlapping ones (a
+    # byte rewritten within the op) need the union.  Summing skips
+    # building a union as wide as the record-to-slot distance, which
+    # costs about 4x more per insert.
+    parts = sorted(parts)
+    total = reach = 0
+    for offset, x, new in parts:
+        if offset < reach:
+            lo = parts[0][0]
+            union = 0
+            for at, part, _ in parts:
+                union |= part << ((at - lo) << 3)
+            return _nonzero_bytes(union)
+        reach = offset + len(new)
+        total += _nonzero_bytes(x)
+    return total
+
+
+def _changed_values(parts: list[_Part], into: dict[int, int]) -> None:
+    """Add ``offset -> new value`` for every changed byte of ``parts``."""
+    for offset, x, new in parts:
+        if x.bit_length() <= 64:  # a field update: visit its few bytes
+            for i in _changed_bytes(x, 8):
+                into[offset + i] = new[i]
+        else:  # a record or slot: select its changed bytes in C
+            diff = x.to_bytes(len(new), "little")
+            offsets = range(offset, offset + len(new))
+            into.update(zip(compress(offsets, diff), compress(new, diff)))
 
 
 class ChangeTracker:
@@ -43,22 +122,26 @@ class ChangeTracker:
         self.existing_records = existing_records
         self._header_end = header_end
         self._body_end = body_end
+        self._m_bytes = scheme.m_bytes
         self.records: list[dict[int, int]] = []
         self.out_of_place = not scheme.enabled
         self.meta_changed = False
         self._open: dict[int, int] | None = None
-        #: Total distinct body bytes changed (for the E7 analysis).
-        self.net_changed_offsets: set[int] = set()
-        #: Distinct header/footer bytes changed (IPL logs these too).
-        self.meta_changed_offsets: set[int] = set()
         #: Changed-byte count of every bracketed op, conformant or not —
         #: the raw material of trace capture (E6) and the N x M ablation.
         self.op_sizes: list[int] = []
-        #: Every changed byte (offset -> new value) of the last closed op,
-        #: INCLUDING header/footer bytes — the WAL's redo payload.
-        self.last_op_changes: dict[int, int] = {}
-        self._open_raw: dict[int, int] | None = None
-        self._open_meta: dict[int, int] | None = None
+        # Per-residency change masks, based at 0 (header), ``header_end``
+        # (body) and ``body_end`` (footer).
+        self._body_mask = 0
+        self._header_mask = 0
+        self._footer_mask = 0
+        # The open operation's body and header/footer parts; None
+        # outside a bracket.  The last closed operation's parts back
+        # ``last_op_changes``.
+        self._op_body: list[_Part] | None = None
+        self._op_meta: list[_Part] = []
+        self._last_body: list[_Part] = []
+        self._last_meta: list[_Part] = []
 
     # ------------------------------------------------------------------ #
     # Operation bracketing
@@ -66,21 +149,23 @@ class ChangeTracker:
 
     def begin_op(self) -> None:
         """Start one update operation (one candidate delta-record)."""
-        if self._open_raw is not None:
+        if self._op_body is not None:
             raise RuntimeError("nested update operations are not supported")
-        self._open_raw = {}
-        self._open_meta = {}
+        self._op_body = []
+        self._op_meta = []
         if not self.out_of_place:
             self._open = {}
 
     def end_op(self) -> None:
         """Close the operation; promote its changes to a delta-record."""
-        if self._open_raw is not None:
-            raw, self._open_raw = self._open_raw, None
-            meta, self._open_meta = self._open_meta or {}, None
-            if raw:
-                self.op_sizes.append(len(raw))
-            self.last_op_changes = {**raw, **meta}
+        body = self._op_body
+        if body is not None:
+            self._op_body = None
+            size = _op_size(body)
+            if size:
+                self.op_sizes.append(size)
+            self._last_body = body
+            self._last_meta = self._op_meta
         if self._open is None:
             return
         changes, self._open = self._open, None
@@ -102,31 +187,110 @@ class ChangeTracker:
     # ------------------------------------------------------------------ #
 
     def on_write(self, offset: int, old: bytes, new: bytes) -> None:
-        """Observe one page mutation; classify each changed byte."""
-        for i in range(len(new)):
-            if old[i] == new[i]:
-                continue
-            pos = offset + i
-            if pos < self._header_end or pos >= self._body_end:
-                # Header/footer: shipped via delta_metadata, free of charge.
-                self.meta_changed = True
-                self.meta_changed_offsets.add(pos)
-                if self._open_meta is not None:
-                    self._open_meta[pos] = new[i]
-                continue
-            self.net_changed_offsets.add(pos)
-            if self._open_raw is not None:
-                self._open_raw[pos] = new[i]
-            if self.out_of_place:
-                continue
-            if self._open is None:
-                # A body change outside any bracketed operation (bulk load,
-                # page reorganisation): not representable as a delta-record.
-                self.mark_out_of_place()
-                continue
-            self._open[pos] = new[i]
-            if len(self._open) > self.scheme.m_bytes:
-                self.mark_out_of_place()
+        """Observe one page mutation; classify its changed bytes."""
+        x = int.from_bytes(old, "little") ^ int.from_bytes(new, "little")
+        if not x:
+            return
+        if not isinstance(new, bytes):
+            new = bytes(new)  # an op's parts must not alias a page buffer
+        end = offset + len(new)
+        if end <= self._header_end:
+            # Header field (LSN, slot count, free pointer): metadata only.
+            self._note_meta(offset, x, new)
+            return
+        if offset < self._header_end or end > self._body_end:
+            offset, x, new = self._split_meta(offset, x, new)
+            if not x:
+                return
+        self._body_mask |= x << ((offset - self._header_end) << 3)
+        if self._op_body is not None:
+            self._op_body.append((offset, x, new))
+        if self.out_of_place:
+            return
+        op = self._open
+        if op is None:
+            # A body change outside any bracketed operation (bulk load,
+            # page reorganisation): not representable as a delta-record.
+            self.mark_out_of_place()
+            return
+        changed = _changed_bytes(x, self._m_bytes + 1)
+        if len(changed) > self._m_bytes:
+            self.mark_out_of_place()
+            return
+        for i in changed:
+            op[offset + i] = new[i]
+        if len(op) > self._m_bytes:
+            self.mark_out_of_place()
+
+    def _note_meta(self, offset: int, x: int, new: bytes) -> None:
+        """Record a header or footer part: shipped via delta_metadata,
+        free of charge."""
+        if offset < self._header_end:
+            self._header_mask |= x << (offset << 3)
+        else:
+            self._footer_mask |= x << ((offset - self._body_end) << 3)
+        self.meta_changed = True
+        if self._op_body is not None:
+            self._op_meta.append((offset, x, new))
+
+    def _split_meta(self, offset: int, x: int, new: bytes) -> _Part:
+        """Note the header/footer parts of a span; return its body part."""
+        end = offset + len(new)
+        lo = max(offset, self._header_end)
+        hi = min(end, self._body_end)
+        if offset < lo:
+            head = x & ((1 << ((lo - offset) << 3)) - 1)
+            if head:
+                self._note_meta(offset, head, new[: lo - offset])
+        if end > self._body_end:
+            at = max(offset, self._body_end)
+            tail = x >> ((at - offset) << 3)
+            if tail:
+                self._note_meta(at, tail, new[at - offset :])
+        if lo >= hi:
+            return lo, 0, b""
+        body = (x >> ((lo - offset) << 3)) & ((1 << ((hi - lo) << 3)) - 1)
+        return lo, body, new[lo - offset : hi - offset]
+
+    # ------------------------------------------------------------------ #
+    # Change queries
+    # ------------------------------------------------------------------ #
+
+    @property
+    def net_changed_offsets(self) -> set[int]:
+        """Distinct body bytes changed this residency (E7 analysis)."""
+        return _nonzero_offsets(self._body_mask, self._header_end)
+
+    @property
+    def net_changed_count(self) -> int:
+        """``len(net_changed_offsets)``, without building the set."""
+        return _nonzero_bytes(self._body_mask)
+
+    @property
+    def meta_changed_offsets(self) -> set[int]:
+        """Distinct header/footer bytes changed (IPL logs these too)."""
+        return _nonzero_offsets(self._header_mask, 0) | _nonzero_offsets(
+            self._footer_mask, self._body_end
+        )
+
+    @property
+    def meta_changed_count(self) -> int:
+        """``len(meta_changed_offsets)``, without building the set."""
+        return _nonzero_bytes(self._header_mask) + _nonzero_bytes(
+            self._footer_mask
+        )
+
+    @property
+    def last_op_changes(self) -> dict[int, int]:
+        """Every changed byte (offset -> new value) of the last closed op,
+        INCLUDING header/footer bytes — the WAL's redo payload.
+
+        Body bytes come first, each group in first-change order.
+        """
+        changes: dict[int, int] = {}
+        _changed_values(self._last_body, changes)
+        _changed_values(self._last_meta, changes)
+        return changes
 
     # ------------------------------------------------------------------ #
     # Eviction-side queries
@@ -145,9 +309,7 @@ class ChangeTracker:
     @property
     def dirty(self) -> bool:
         """Any tracked change at all (body or metadata)?"""
-        return bool(
-            self.records or self.meta_changed or self.net_changed_offsets
-        )
+        return bool(self.records or self.meta_changed or self._body_mask)
 
     def build_delta_records(
         self, meta_header: bytes, meta_footer: bytes
@@ -180,8 +342,8 @@ class ChangeTracker:
         self.out_of_place = not self.scheme.enabled
         self.meta_changed = False
         self._open = None
-        self._open_raw = None
-        self._open_meta = None
-        self.net_changed_offsets = set()
-        self.meta_changed_offsets = set()
+        self._op_body = None
+        self._body_mask = 0
+        self._header_mask = 0
+        self._footer_mask = 0
         self.op_sizes = []

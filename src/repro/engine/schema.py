@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 
@@ -24,56 +24,77 @@ class ColumnType(enum.Enum):
     CHAR = "char"  # fixed-width, space-padded
 
 
-_STRUCT = {
-    ColumnType.INT32: struct.Struct("<i"),
-    ColumnType.INT64: struct.Struct("<q"),
-    ColumnType.FLOAT64: struct.Struct("<d"),
+#: ``struct`` format character of each numeric type (little-endian).
+_FORMAT = {
+    ColumnType.INT32: "i",
+    ColumnType.INT64: "q",
+    ColumnType.FLOAT64: "d",
 }
 
 
 @dataclass(frozen=True)
 class Column:
-    """One column: name, type, and width for CHAR columns."""
+    """One column: name, type, and width for CHAR columns.
+
+    ``width`` (bytes in the record), ``format`` (its ``struct`` format
+    code) and the column's compiled codec are derived at construction.
+    """
 
     name: str
     type: ColumnType
     size: int = 0  # CHAR width; ignored otherwise
+    width: int = field(init=False, repr=False, compare=False)
+    format: str = field(init=False, repr=False, compare=False)
+    _codec: struct.Struct = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.type is ColumnType.CHAR:
+        is_char = self.type is ColumnType.CHAR
+        if is_char:
             if self.size < 1:
                 raise ValueError(f"CHAR column '{self.name}' needs size >= 1")
-        elif self.size not in (0, self.width):
+            fmt = f"{self.size}s"
+        else:
+            fmt = _FORMAT[self.type]
+        codec = struct.Struct("<" + fmt)
+        if not is_char and self.size not in (0, codec.size):
             raise ValueError(f"size is only meaningful for CHAR ('{self.name}')")
+        object.__setattr__(self, "width", codec.size)
+        object.__setattr__(self, "format", fmt)
+        object.__setattr__(self, "_codec", codec)
 
-    @property
-    def width(self) -> int:
-        """Bytes this column occupies in the record."""
-        if self.type is ColumnType.CHAR:
-            return self.size
-        return _STRUCT[self.type].size
+    def __reduce__(self) -> tuple:
+        # struct.Struct does not pickle; rebuild the codec on load.
+        return type(self), (self.name, self.type, self.size)
 
     def encode(self, value: Any) -> bytes:
         """Serialize one value to the column's fixed width."""
         if self.type is ColumnType.CHAR:
-            raw = value.encode("ascii") if isinstance(value, str) else bytes(value)
-            if len(raw) > self.size:
-                raise ValueError(
-                    f"value of {len(raw)} bytes exceeds CHAR({self.size}) "
-                    f"column '{self.name}'"
-                )
-            return raw.ljust(self.size, b" ")
-        return _STRUCT[self.type].pack(value)
+            return self._pad(value)
+        return self._codec.pack(value)
+
+    def _pad(self, value: Any) -> bytes:
+        """A CHAR value as exactly ``size`` space-padded bytes."""
+        raw = value.encode("ascii") if isinstance(value, str) else bytes(value)
+        if len(raw) > self.size:
+            raise ValueError(
+                f"value of {len(raw)} bytes exceeds CHAR({self.size}) "
+                f"column '{self.name}'"
+            )
+        return raw.ljust(self.size, b" ")
 
     def decode(self, raw: bytes) -> Any:
         """Deserialize the column's bytes."""
         if self.type is ColumnType.CHAR:
             return raw.rstrip(b" ").decode("ascii")
-        return _STRUCT[self.type].unpack(raw)[0]
+        return self._codec.unpack(raw)[0]
 
 
 class Schema:
-    """An ordered set of columns with precomputed offsets."""
+    """An ordered set of columns with precomputed offsets.
+
+    A whole row is packed and unpacked by one precompiled ``struct``
+    codec (CHAR columns are ``Ns`` fields, padded and stripped around it).
+    """
 
     def __init__(self, columns: Iterable[Column]) -> None:
         self.columns = list(columns)
@@ -88,6 +109,15 @@ class Schema:
             self._offsets[column.name] = (offset, column)
             offset += column.width
         self.record_size = offset
+        self._names = tuple(names)
+        self._row = struct.Struct("<" + "".join(c.format for c in self.columns))
+        self._char_columns = tuple(
+            (i, c) for i, c in enumerate(self.columns) if c.type is ColumnType.CHAR
+        )
+
+    def __reduce__(self) -> tuple:
+        # struct.Struct does not pickle; rebuild the codecs on load.
+        return type(self), (self.columns,)
 
     def field_span(self, name: str) -> tuple[int, int]:
         """(offset, width) of a column within the record."""
@@ -100,10 +130,13 @@ class Schema:
 
     def encode(self, values: Mapping[str, Any]) -> bytes:
         """Serialize a full record from a column-name mapping."""
-        missing = [c.name for c in self.columns if c.name not in values]
+        missing = [name for name in self._names if name not in values]
         if missing:
             raise ValueError(f"missing columns: {missing}")
-        return b"".join(c.encode(values[c.name]) for c in self.columns)
+        row = [values[name] for name in self._names]
+        for i, column in self._char_columns:
+            row[i] = column._pad(row[i])
+        return self._row.pack(*row)
 
     def decode(self, record: bytes) -> dict[str, Any]:
         """Deserialize a full record."""
@@ -111,12 +144,10 @@ class Schema:
             raise ValueError(
                 f"record of {len(record)} bytes, schema needs {self.record_size}"
             )
-        out: dict[str, Any] = {}
-        offset = 0
-        for column in self.columns:
-            out[column.name] = column.decode(record[offset : offset + column.width])
-            offset += column.width
-        return out
+        row = list(self._row.unpack(record))
+        for i, _column in self._char_columns:
+            row[i] = row[i].rstrip(b" ").decode("ascii")
+        return dict(zip(self._names, row))
 
     def encode_field(self, name: str, value: Any) -> tuple[int, bytes]:
         """(offset, bytes) for an in-place single-field update."""

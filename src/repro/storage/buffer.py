@@ -225,7 +225,7 @@ class BufferPool:
         if victim.dirty:
             self.stats.dirty_evictions += 1
             self.stats.dirty_eviction_net_bytes.append(
-                len(victim.tracker.net_changed_offsets)
+                victim.tracker.net_changed_count
             )
             tr = self.tracer
             if not tr.enabled:

@@ -72,6 +72,12 @@ class SlottedPage:
         self._buf = buf
         self.scheme = scheme
         self._hook: Optional[WriteHook] = None
+        # Page geometry is fixed by the buffer length and the scheme.
+        self.page_size = len(buf)
+        self.footer_start = self.page_size - PAGE_FOOTER_SIZE
+        #: First byte of the delta-record area (== end of the body).
+        self.delta_start = self.footer_start - scheme.delta_area_size
+        self._slot0_pos = self.delta_start - SLOT_SIZE
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -107,25 +113,12 @@ class SlottedPage:
     # ------------------------------------------------------------------ #
 
     @property
-    def page_size(self) -> int:
-        return len(self._buf)
-
-    @property
-    def footer_start(self) -> int:
-        return self.page_size - PAGE_FOOTER_SIZE
-
-    @property
-    def delta_start(self) -> int:
-        """First byte of the delta-record area (== end of the body)."""
-        return self.footer_start - self.scheme.delta_area_size
-
-    @property
     def body_span(self) -> tuple[int, int]:
         """Byte range delta-record pairs may target: tuples + slot array."""
         return PAGE_HEADER_SIZE, self.delta_start
 
     def _slot_pos(self, slot_no: int) -> int:
-        return self.delta_start - SLOT_SIZE * (slot_no + 1)
+        return self._slot0_pos - SLOT_SIZE * slot_no
 
     @property
     def free_space(self) -> int:
@@ -191,14 +184,13 @@ class SlottedPage:
         """
         if not record:
             raise ValueError("empty records are not supported")
-        if len(record) > self.free_space:
-            raise PageFullError(
-                f"{len(record)} B record, {self.free_space} B free"
-            )
         slot_no = self.slot_count
         offset = self.free_lower
-        self._write(offset, record)
         slot_pos = self._slot_pos(slot_no)
+        free = max(slot_pos - offset, 0)  # == free_space
+        if len(record) > free:
+            raise PageFullError(f"{len(record)} B record, {free} B free")
+        self._write(offset, record)
         self._write(slot_pos, offset.to_bytes(2, "little") + len(record).to_bytes(2, "little"))
         self._write(16, (offset + len(record)).to_bytes(2, "little"))  # free_lower
         self._write(14, (slot_no + 1).to_bytes(2, "little"))  # slot_count
@@ -373,8 +365,8 @@ class SlottedPage:
         Bypasses the write hook: resetting the area is part of composing
         the out-image, not a tracked page modification.
         """
-        for i in range(self.delta_start, self.footer_start):
-            self._buf[i] = _ERASED
+        start, end = self.delta_start, self.footer_start
+        self._buf[start:end] = bytes([_ERASED]) * (end - start)
 
     # ------------------------------------------------------------------ #
     # Integrity
@@ -382,7 +374,7 @@ class SlottedPage:
 
     def compute_checksum(self) -> int:
         """CRC32 over header + body (everything before the delta area)."""
-        return zlib.crc32(bytes(self._buf[0 : self.delta_start])) & 0xFFFFFFFF
+        return zlib.crc32(memoryview(self._buf)[: self.delta_start]) & 0xFFFFFFFF
 
     def store_checksum(self) -> None:
         """Write the current checksum into the footer."""
@@ -424,7 +416,7 @@ class SlottedPage:
 
     def _write(self, offset: int, data: bytes) -> None:
         """All mutations go through here so the tracker sees every byte."""
-        old = bytes(self._buf[offset : offset + len(data)])
+        end = offset + len(data)
         if self._hook is not None:
-            self._hook(offset, old, data)
-        self._buf[offset : offset + len(data)] = data
+            self._hook(offset, self._buf[offset:end], data)
+        self._buf[offset:end] = data

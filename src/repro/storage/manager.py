@@ -503,7 +503,7 @@ class StorageManager:
 
     def _flush(self, frame: Frame) -> None:
         # Account net change before the policy resets the tracker.
-        self.stats.net_bytes_updated += len(frame.tracker.net_changed_offsets)
+        self.stats.net_bytes_updated += frame.tracker.net_changed_count
         lg = self.ledger
         if not lg.enabled:
             self._flush_inner(frame)

@@ -88,8 +88,8 @@ class _TracingPolicy(TraditionalPolicy):
                 kind="evict",
                 lba=frame.lba,
                 op_sizes=tuple(tracker.op_sizes),
-                meta_bytes=len(tracker.meta_changed_offsets),
-                net_bytes=len(tracker.net_changed_offsets),
+                meta_bytes=tracker.meta_changed_count,
+                net_bytes=tracker.net_changed_count,
             )
         )
         self.trace.max_lba = max(self.trace.max_lba, frame.lba)

@@ -1,5 +1,7 @@
 """Schema encoding: fixed-width records and field spans."""
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -85,6 +87,13 @@ class TestSchema:
     def test_empty_schema_rejected(self):
         with pytest.raises(ValueError):
             Schema([])
+
+    def test_pickle_round_trip(self):
+        # Workloads holding a schema are shipped to worker processes.
+        s = pickle.loads(pickle.dumps(account_schema()))
+        row = {"id": 42, "balance": -5, "name": "alice", "rate": 1.5}
+        assert s.decode(s.encode(row)) == row
+        assert s.columns == account_schema().columns
 
     def test_encode_field_matches_full_encoding(self):
         s = account_schema()
