@@ -8,6 +8,7 @@ pages (block-device IPA) or whole pages (traditional).
 import pytest
 
 from repro.core.config import IPA_DISABLED, SCHEME_2X4
+from repro.engine.wal import WriteAheadLog
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.ipa_ftl import IpaFtl
@@ -278,6 +279,40 @@ class TestLsnProgression:
         evict_everything(mgr)
         with mgr.page(0) as page:
             assert page.lsn == lsn
+
+
+class TestUpdateBracketOnError:
+    """An exception inside ``with mgr.update(lba)`` closes the op cleanly."""
+
+    class Boom(Exception):
+        pass
+
+    def test_exception_stamps_nothing_and_unpins(self):
+        mgr = native_manager()
+        mgr.wal = WriteAheadLog(
+            FlashChip(FlashGeometry(page_size=1024, oob_size=16,
+                                    pages_per_block=8, blocks=4))
+        )
+        slot = seed_page(mgr)
+        mgr.commit_wal()
+        frame = mgr.pool.get(0)
+        lsn_before = frame.page.lsn
+        logged_before = mgr.wal.stats.records_logged
+        with pytest.raises(self.Boom):
+            with mgr.update(0) as page:
+                page.update(slot, 0, b"Z")
+                raise self.Boom
+        assert frame.pin_count == 0
+        assert frame.page.lsn == lsn_before
+        assert mgr.wal._txn_buffer == []
+        assert mgr.wal.stats.records_logged == logged_before
+        assert 0 not in mgr._txn_locked_lbas
+        # The bracket was closed: the next operation opens a fresh one.
+        with mgr.update(0) as page:
+            page.update(slot, 1, b"Y")
+        assert frame.pin_count == 0
+        assert frame.page.lsn > lsn_before
+        assert mgr.wal.stats.records_logged == logged_before + 1
 
 
 class TestAllocation:
