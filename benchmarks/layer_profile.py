@@ -1,12 +1,19 @@
-"""Where the host time goes: cProfile self-time of a Table-1 run, by package.
+"""Where the host time goes: cProfile self-time by package, in two runs.
 
-Profiles :func:`repro.bench.table1.run` (the three Table-1 configurations)
-and sums each function's *self* time (cProfile ``tottime``) into the
-``repro.<package>`` that defines it.  The load phase (``TpcbWorkload.build``:
-formatting and filling the tables) and the measured phase (the timed
-TPC-B transactions) are profiled separately, because they stress
-different code: the load is bulk inserts, the measured phase small
-in-place updates.
+Profiles two runs and sums each function's *self* time (cProfile
+``tottime``) into the ``repro.<package>`` that defines it:
+
+* :func:`repro.bench.table1.run` (the three Table-1 configurations, no
+  WAL).  The load phase (``TpcbWorkload.build``: formatting and filling
+  the tables) and the measured phase (the timed TPC-B transactions) are
+  profiled separately, because they stress different code: the load is
+  bulk inserts, the measured phase small in-place updates.
+* A replicated :class:`~repro.service.service.ShardedService` (TPC-B
+  shards with a WAL, group commit and a synchronous standby each, on
+  deterministic scheduling), the only run of the WAL, service and
+  replication code.  The build phase (constructing the fleet, which
+  loads every shard and standby through the WAL) and the run phase
+  (``ShardedService.run``) are profiled separately.
 
 Built-in functions (``int.from_bytes``, ``zlib.crc32``, ``dict.get``, ...)
 have no package of their own; their self-time is charged to the package
@@ -34,10 +41,13 @@ import time
 from pathlib import Path
 
 from repro.bench import table1
+from repro.service import ServiceConfig
+from repro.service.service import ShardedService
 from repro.workloads.tpcb import TpcbWorkload
 
 OTHER = "(other)"
-PHASES = ("load", "measured")
+TABLE1_PHASES = ("load", "measured")
+SERVICE_PHASES = ("build", "run")
 #: Functions listed per phase, by self-time.
 TOP = 10
 
@@ -85,10 +95,10 @@ def self_time_by_package(stats: pstats.Stats) -> dict[str, float]:
     return totals
 
 
-def profile(settings: table1.Table1Settings) -> tuple[dict, dict]:
+def profile_table1(settings: table1.Table1Settings) -> tuple[dict, dict]:
     """Run Table 1 once; returns per-phase profiles and wall seconds."""
-    profilers = {phase: cProfile.Profile() for phase in PHASES}
-    wall = {phase: 0.0 for phase in PHASES}
+    profilers = {phase: cProfile.Profile() for phase in TABLE1_PHASES}
+    wall = {phase: 0.0 for phase in TABLE1_PHASES}
     original_build = TpcbWorkload.build
 
     def build(self: TpcbWorkload, db: object, rng: object) -> None:
@@ -115,10 +125,44 @@ def profile(settings: table1.Table1Settings) -> tuple[dict, dict]:
     return stats, wall
 
 
-def summarize(stats: dict, wall: dict) -> dict:
+def profile_service(config: ServiceConfig) -> tuple[dict, dict]:
+    """Build and run one service; returns per-phase profiles and wall seconds."""
+    profilers = {phase: cProfile.Profile() for phase in SERVICE_PHASES}
+    wall = {}
+    start = time.perf_counter()
+    profilers["build"].enable()
+    service = ShardedService(config)
+    profilers["build"].disable()
+    built = time.perf_counter()
+    profilers["run"].enable()
+    service.run()
+    profilers["run"].disable()
+    wall["build"] = built - start
+    wall["run"] = time.perf_counter() - built
+    stats = {phase: pstats.Stats(p) for phase, p in profilers.items()}
+    return stats, wall
+
+
+def service_config(fast: bool) -> ServiceConfig:
+    """The perfbench service-repl fleet; 2 shards and 8 sessions x 50
+    transactions under ``--fast`` instead of 4 shards, 16 x 200."""
+    return ServiceConfig(
+        shards=2 if fast else 4,
+        sessions=8 if fast else 16,
+        txns_per_session=50 if fast else 200,
+        admission_policy="wait",
+        group_commit_size=4,
+        think_time_us=100.0,
+        scheduling="deterministic",
+        replication=True,
+        seed=42,
+    )
+
+
+def summarize(stats: dict, wall: dict, phases: tuple) -> dict:
     """Per-phase ``{package: {"self_s", "share"}}`` plus wall seconds."""
-    out: dict = {"wall_s": {p: round(wall[p], 3) for p in PHASES}, "phases": {}}
-    for phase in PHASES:
+    out: dict = {"wall_s": {p: round(wall[p], 3) for p in phases}, "phases": {}}
+    for phase in phases:
         totals = self_time_by_package(stats[phase])
         whole = sum(totals.values()) or 1.0
         out["phases"][phase] = {
@@ -128,10 +172,10 @@ def summarize(stats: dict, wall: dict) -> dict:
     return out
 
 
-def render(summary: dict, top: dict) -> str:
+def render(summary: dict, top: dict, phases: tuple) -> str:
     """A Markdown table per phase, then the top functions per phase."""
     lines = []
-    for phase in PHASES:
+    for phase in phases:
         rows = summary["phases"][phase]
         lines.append(
             f"### {phase} phase ({summary['wall_s'][phase]:.2f} s wall, profiled)"
@@ -169,7 +213,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--fast", action="store_true",
-        help="3000 accounts and 0.5 simulated seconds per configuration",
+        help="Table 1 at 3000 accounts and 0.5 simulated seconds per "
+        "configuration; the service at 2 shards and 8 sessions x 50 txns",
     )
     args = parser.parse_args(argv)
 
@@ -179,10 +224,22 @@ def main(argv: list[str] | None = None) -> int:
         )
     else:
         settings = table1.Table1Settings()
-    stats, wall = profile(settings)
-    summary = summarize(stats, wall)
-    top = {phase: top_functions(stats[phase], TOP) for phase in PHASES}
-    print(render(summary, top))
+    config = service_config(args.fast)
+    runs = (
+        ("Table 1 (TPC-B, no WAL)", TABLE1_PHASES, lambda: profile_table1(settings)),
+        (
+            f"Replicated service ({config.shards} shards, {config.sessions} "
+            f"sessions x {config.txns_per_session} txns, WAL, sync standby)",
+            SERVICE_PHASES,
+            lambda: profile_service(config),
+        ),
+    )
+    for title, phases, run in runs:
+        stats, wall = run()
+        summary = summarize(stats, wall, phases)
+        top = {phase: top_functions(stats[phase], TOP) for phase in phases}
+        print(f"## {title}\n")
+        print(render(summary, top, phases))
     return 0
 
 

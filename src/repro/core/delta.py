@@ -24,7 +24,9 @@ operations").
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.core.config import (
     PAGE_FOOTER_SIZE,
@@ -36,6 +38,16 @@ from repro.core.config import (
 #: Control-byte tag: high bits 01, low nibble = pair count.
 CONTROL_TAG = 0x40
 _ERASED = 0xFF
+
+#: One ``(offset, value)`` pair as stored: page offset u16 LE, new byte
+#: value u8.  Delta-records and WAL redo records share this layout.
+PAIR = struct.Struct("<HB")
+
+
+def encode_pairs(pairs: Iterable[tuple[int, int]]) -> bytes:
+    """``pairs`` packed back to back, in the order given."""
+    pack = PAIR.pack
+    return b"".join([pack(offset, value) for offset, value in pairs])
 
 
 class DeltaFormatError(ValueError):

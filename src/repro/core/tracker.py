@@ -23,7 +23,7 @@ mask (header, body, footer), so a mask's non-zero bytes are the distinct
 bytes changed by any write since the last flush.  Inside an operation
 the tracker keeps the op's ``(offset, x, new)`` parts, body and
 metadata apart: the union of the body parts is the op's size, and the
-WAL redo payload :attr:`last_op_changes` is built from the parts only
+WAL redo pair area :attr:`last_op_redo` is encoded from the parts only
 when read (each part's old bytes are ``new ^ x``, the before-image).
 The per-op ``offset -> value`` dict that becomes a delta-record is built
 only while the page is still IPA-eligible; a span with more than M
@@ -32,13 +32,30 @@ changed bytes flags the page out-of-place without building it.
 
 from __future__ import annotations
 
-from itertools import compress
+from operator import itemgetter
 
 from repro.core.config import IpaScheme
-from repro.core.delta import DeltaRecord
+from repro.core.delta import PAIR, DeltaRecord
 
 #: One region's part of a hooked write: (offset, old ^ new, new bytes).
 _Part = tuple[int, int, bytes]
+
+_pack_pair = PAIR.pack
+
+
+def _offset_pairs() -> bytes:
+    """The pair of every 16-bit page offset, with value 0 (192 KB)."""
+    pairs = bytearray(PAIR.size << 16)
+    pairs[0::3] = bytes(range(256)) * 256
+    pairs[1::3] = b"".join(bytes([high]) * 256 for high in range(256))
+    return bytes(pairs)
+
+
+#: A run of consecutive changed bytes copies its offsets as one slice of
+#: this table, then sets every third byte to the new values.
+_OFFSET_PAIRS = _offset_pairs()
+
+_part_offset = itemgetter(0)
 
 
 def _nonzero_bytes(x: int) -> int:
@@ -68,36 +85,82 @@ def _changed_bytes(x: int, limit: int) -> list[int]:
 
 def _op_size(parts: list[_Part]) -> int:
     """Distinct bytes changed by an operation's body parts."""
-    if len(parts) <= 1:
-        return _nonzero_bytes(parts[0][1]) if parts else 0
-    # Disjoint parts (a record and its slot) add up; overlapping ones (a
-    # byte rewritten within the op) need the union.  Summing skips
-    # building a union as wide as the record-to-slot distance, which
-    # costs about 4x more per insert.
-    parts = sorted(parts)
-    total = reach = 0
-    for offset, x, new in parts:
+    if len(parts) == 1:
+        return _nonzero_bytes(parts[0][1])
+    # Disjoint parts (a record and its slot) add up; only overlapping
+    # ones (a byte rewritten within the op) are merged first.
+    return sum(_nonzero_bytes(part[1]) for part in _disjoint(parts))
+
+
+def _ascending(parts: list[_Part]) -> bool:
+    """Are ``parts`` disjoint and in ascending offset order?"""
+    reach = 0
+    for offset, _, new in parts:
         if offset < reach:
-            lo = parts[0][0]
-            union = 0
-            for at, part, _ in parts:
-                union |= part << ((at - lo) << 3)
-            return _nonzero_bytes(union)
+            return False
         reach = offset + len(new)
-        total += _nonzero_bytes(x)
-    return total
+    return True
 
 
-def _changed_values(parts: list[_Part], into: dict[int, int]) -> None:
-    """Add ``offset -> new value`` for every changed byte of ``parts``."""
+def _disjoint(parts: list[_Part]) -> list[_Part]:
+    """``parts`` in ascending offset order, overlapping ones merged.
+
+    Parts are given in write order, so a merged byte takes the value of
+    the last part that covers it; its ``x`` is the union of the parts'.
+    Within one op a covered byte's last written value is its current
+    value, which is the value of its last change.
+    """
+    if _ascending(parts):
+        return parts
+    ordered = sorted(parts, key=_part_offset)
+    if _ascending(ordered):
+        return ordered
+    # A byte rewritten within the op: merge each cluster of overlapping
+    # parts, applying its members in write order.
+    clusters: list[list[int]] = []
+    reach = 0
+    for i in sorted(range(len(parts)), key=lambda k: parts[k][0]):
+        offset, _, new = parts[i]
+        if clusters and offset < reach:
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+        reach = max(reach, offset + len(new))
+    merged: list[_Part] = []
+    for cluster in clusters:
+        if len(cluster) == 1:
+            merged.append(parts[cluster[0]])
+            continue
+        lo = parts[cluster[0]][0]
+        buf = bytearray(max(parts[j][0] + len(parts[j][2]) for j in cluster) - lo)
+        union = 0
+        for j in sorted(cluster):
+            at, x, new = parts[j]
+            buf[at - lo : at - lo + len(new)] = new
+            union |= x << ((at - lo) << 3)
+        merged.append((lo, union, bytes(buf)))
+    return merged
+
+
+def _redo_pairs(parts: list[_Part]) -> bytes:
+    """Encode the changed bytes of disjoint, ascending ``parts`` as
+    ``offset u16 LE | value u8`` pairs, one run of changed bytes at a
+    time: a lone byte is packed, a longer run copies its offsets from
+    the table and sets their values by slice assignment."""
+    out = bytearray()
     for offset, x, new in parts:
-        if x.bit_length() <= 64:  # a field update: visit its few bytes
-            for i in _changed_bytes(x, 8):
-                into[offset + i] = new[i]
-        else:  # a record or slot: select its changed bytes in C
-            diff = x.to_bytes(len(new), "little")
-            offsets = range(offset, offset + len(new))
-            into.update(zip(compress(offsets, diff), compress(new, diff)))
+        at = 0
+        for run in x.to_bytes((x.bit_length() + 7) >> 3, "little").split(b"\x00"):
+            n = len(run)
+            if n == 1:
+                out += _pack_pair(offset + at, new[at])
+            elif n:
+                start = 3 * (offset + at)
+                pairs = bytearray(_OFFSET_PAIRS[start : start + 3 * n])
+                pairs[2::3] = new[at : at + n]
+                out += pairs
+            at += n + 1
+    return bytes(out)
 
 
 class ChangeTracker:
@@ -137,7 +200,7 @@ class ChangeTracker:
         self._footer_mask = 0
         # The open operation's body and header/footer parts; None
         # outside a bracket.  The last closed operation's parts back
-        # ``last_op_changes``.
+        # ``last_op_redo``.
         self._op_body: list[_Part] | None = None
         self._op_meta: list[_Part] = []
         self._last_body: list[_Part] = []
@@ -281,16 +344,17 @@ class ChangeTracker:
         )
 
     @property
-    def last_op_changes(self) -> dict[int, int]:
-        """Every changed byte (offset -> new value) of the last closed op,
-        INCLUDING header/footer bytes — the WAL's redo payload.
-
-        Body bytes come first, each group in first-change order.
-        """
-        changes: dict[int, int] = {}
-        _changed_values(self._last_body, changes)
-        _changed_values(self._last_meta, changes)
-        return changes
+    def last_op_redo(self) -> bytes:
+        """The WAL redo pair area of the last closed op: every changed
+        byte, header/footer included, as ``offset u16 LE | value u8``
+        in ascending offset order (a byte changed twice appears once,
+        with its last value)."""
+        # Header parts first: an op's body parts lie between its header
+        # and footer parts, so this order is often ascending already.
+        parts = self._last_meta + self._last_body
+        if len(parts) > 1:
+            parts = _disjoint(parts)
+        return _redo_pairs(parts)
 
     # ------------------------------------------------------------------ #
     # Eviction-side queries

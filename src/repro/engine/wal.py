@@ -13,7 +13,8 @@ Protocol:
 
 * every update operation appends one :class:`PageUpdateRecord`
   (lsn, lba, changed bytes incl. header/footer) to the current
-  transaction's buffer;
+  transaction's buffer; its pair area is the tracker's
+  ``last_op_redo``, appended as is;
 * page formats append a :class:`FormatRecord` (new pages are recreated
   deterministically during redo);
 * commit wraps the transaction's records in one *commit frame* —
@@ -38,9 +39,11 @@ exactly what a long-lived instance would.  See ``docs/recovery.md``.
 
 from __future__ import annotations
 
+import struct
 import zlib
 from dataclasses import dataclass
 
+from repro.core.delta import PAIR, encode_pairs
 from repro.flash.chip import FlashChip
 from repro.flash.errors import IllegalProgramError
 from repro.flash import PageState
@@ -52,8 +55,23 @@ _MAGIC_FRAME = 0x5C
 _ERASED = 0xFF
 _ERASED_CHAR = b"\xff"
 
+#: Record header: magic u8 | lsn u64 | lba u32 | pair count (update) or
+#: file id (format) u16, little-endian.  An update record's pairs follow
+#: in the :data:`repro.core.delta.PAIR` layout.
+_RECORD_HEADER = struct.Struct("<BQIH")
+
 #: Commit-frame header: magic (1) + payload length (u32 LE) + CRC32 (u32 LE).
 FRAME_HEADER_SIZE = 9
+
+
+def encode_update(lsn: int, lba: int, pairs: bytes) -> bytes:
+    """One update record: its header, then the encoded ``pairs``
+    (:func:`~repro.core.delta.encode_pairs`, ``ChangeTracker.last_op_redo``).
+
+    The only writer of update records: :meth:`PageUpdateRecord.encode`
+    and :meth:`WriteAheadLog.log_update` both go through it.
+    """
+    return _RECORD_HEADER.pack(_MAGIC_UPDATE, lsn, lba, len(pairs) // PAIR.size) + pairs
 
 
 @dataclass(frozen=True)
@@ -62,18 +80,10 @@ class PageUpdateRecord:
 
     lsn: int
     lba: int
-    changes: tuple  # ((offset, value), ...)
+    changes: tuple[tuple[int, int], ...]  # ((offset, value), ...)
 
     def encode(self) -> bytes:
-        out = bytearray()
-        out.append(_MAGIC_UPDATE)
-        out += self.lsn.to_bytes(8, "little")
-        out += self.lba.to_bytes(4, "little")
-        out += len(self.changes).to_bytes(2, "little")
-        for offset, value in self.changes:
-            out += offset.to_bytes(2, "little")
-            out.append(value)
-        return bytes(out)
+        return encode_update(self.lsn, self.lba, encode_pairs(self.changes))
 
 
 @dataclass(frozen=True)
@@ -85,41 +95,29 @@ class FormatRecord:
     file_id: int
 
     def encode(self) -> bytes:
-        out = bytearray()
-        out.append(_MAGIC_FORMAT)
-        out += self.lsn.to_bytes(8, "little")
-        out += self.lba.to_bytes(4, "little")
-        out += self.file_id.to_bytes(2, "little")
-        return bytes(out)
+        return _RECORD_HEADER.pack(_MAGIC_FORMAT, self.lsn, self.lba, self.file_id)
 
 
 def decode_records(data: bytes) -> list:
     """Parse a log byte stream (stops at erased bytes)."""
-    records = []
+    records: list = []
     pos = 0
+    header = _RECORD_HEADER
     while pos < len(data):
         magic = data[pos]
         if magic == _ERASED:
             break
-        if magic == _MAGIC_UPDATE:
-            lsn = int.from_bytes(data[pos + 1 : pos + 9], "little")
-            lba = int.from_bytes(data[pos + 9 : pos + 13], "little")
-            count = int.from_bytes(data[pos + 13 : pos + 15], "little")
-            pos += 15
-            changes = []
-            for _ in range(count):
-                offset = int.from_bytes(data[pos : pos + 2], "little")
-                changes.append((offset, data[pos + 2]))
-                pos += 3
-            records.append(PageUpdateRecord(lsn, lba, tuple(changes)))
-        elif magic == _MAGIC_FORMAT:
-            lsn = int.from_bytes(data[pos + 1 : pos + 9], "little")
-            lba = int.from_bytes(data[pos + 9 : pos + 13], "little")
-            file_id = int.from_bytes(data[pos + 13 : pos + 15], "little")
-            pos += 15
-            records.append(FormatRecord(lsn, lba, file_id))
-        else:
+        if magic != _MAGIC_UPDATE and magic != _MAGIC_FORMAT:
             raise ValueError(f"corrupt log record magic 0x{magic:02x}")
+        _, lsn, lba, count = header.unpack_from(data, pos)
+        pos += header.size
+        if magic == _MAGIC_UPDATE:
+            end = pos + PAIR.size * count
+            changes = tuple(PAIR.iter_unpack(data[pos:end]))
+            records.append(PageUpdateRecord(lsn, lba, changes))
+            pos = end
+        else:
+            records.append(FormatRecord(lsn, lba, count))
     return records
 
 
@@ -221,12 +219,15 @@ class WriteAheadLog:
     # Logging
     # ------------------------------------------------------------------ #
 
-    def log_update(self, lsn: int, lba: int, changes: dict) -> None:
-        """Buffer one page-update record (durable only at commit)."""
-        if not changes:
+    def log_update(self, lsn: int, lba: int, pairs: bytes) -> None:
+        """Buffer one page-update record (durable only at commit).
+
+        ``pairs`` is the encoded pair area (see :func:`encode_pairs` and
+        ``ChangeTracker.last_op_redo``); an empty one logs nothing.
+        """
+        if not pairs:
             return
-        record = PageUpdateRecord(lsn, lba, tuple(sorted(changes.items())))
-        self._txn_buffer.append(record.encode())
+        self._txn_buffer.append(encode_update(lsn, lba, pairs))
         self.stats.records_logged += 1
 
     def log_format(self, lsn: int, lba: int, file_id: int) -> None:

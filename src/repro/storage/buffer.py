@@ -34,6 +34,7 @@ class Frame:
         "dirty",
         "flash_image",
         "flash_delta_count",
+        "file_id",
     )
 
     def __init__(
@@ -55,6 +56,8 @@ class Frame:
         self.flash_image = flash_image
         #: Number of delta-records in the Flash copy (counts against N).
         self.flash_delta_count = flash_delta_count
+        #: The page's file id (written once, when the page is formatted).
+        self.file_id = page.file_id
 
     def pin(self) -> None:
         self.pin_count += 1

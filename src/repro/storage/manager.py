@@ -18,9 +18,8 @@ a fresh :class:`~repro.core.tracker.ChangeTracker`.
 from __future__ import annotations
 
 import abc
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
+from types import TracebackType
 
 from repro.core.config import (
     PAGE_FOOTER_SIZE,
@@ -333,42 +332,20 @@ class StorageManager:
         """Release a pin taken by :meth:`fetch` / :meth:`format_page`."""
         frame.unpin()
 
-    @contextmanager
-    def page(self, lba: int) -> Iterator[SlottedPage]:
+    def page(self, lba: int) -> "_PageAccess":
         """Read-only access: ``with manager.page(lba) as p: ...``."""
-        frame = self.fetch(lba)
-        try:
-            yield frame.page
-        finally:
-            frame.unpin()
+        return _PageAccess(self, lba)
 
-    @contextmanager
-    def update(self, lba: int) -> Iterator[SlottedPage]:
-        """One update operation == one candidate delta-record.
+    def update(self, lba: int) -> "_UpdateOp":
+        """One update operation == one candidate delta-record:
+        ``with manager.update(lba) as p: ...``.
 
-        Stamps a fresh LSN and closes the tracker bracket on exit.
+        Stamps a fresh LSN and closes the tracker bracket on exit.  If
+        the block raises, no LSN is stamped and no WAL record is logged;
+        the bracket is still closed, the frame unpinned and the exception
+        propagated.
         """
-        frame = self.fetch(lba)
-        ops_before = len(frame.tracker.op_sizes)
-        frame.tracker.begin_op()
-        lsn = 0
-        try:
-            yield frame.page
-            lsn = self._take_lsn()
-            frame.page.set_lsn(lsn)
-        finally:
-            frame.tracker.end_op()
-            if len(frame.tracker.op_sizes) > ops_before:
-                self.stats.per_file_op_sizes.setdefault(
-                    frame.page.file_id, []
-                ).append(frame.tracker.op_sizes[-1])
-            if self.wal is not None and lsn:
-                self.wal.log_update(lsn, lba, frame.tracker.last_op_changes)
-                self._txn_locked_lbas.add(lba)
-            frame.mark_dirty()
-            self.stats.update_ops += 1
-            self.clock.advance(self.host_costs.ipa_tracking_us, "host")
-            frame.unpin()
+        return _UpdateOp(self, lba)
 
     def commit_wal(self) -> None:
         """Group-commit the open transaction and release its pages.
@@ -508,7 +485,7 @@ class StorageManager:
         if not lg.enabled:
             self._flush_inner(frame)
             return
-        kind = self.file_kinds.get(frame.page.file_id)
+        kind = self.file_kinds.get(frame.file_id)
         with lg.cause("host_index" if kind == "index" else "host_heap"):
             self._flush_inner(frame)
 
@@ -528,3 +505,72 @@ class StorageManager:
             ):
                 self.policy.flush(self, frame)
         frame.dirty = False
+
+
+class _PageAccess:
+    """The ``with manager.page(lba)`` guard: pinned for the block."""
+
+    __slots__ = ("_manager", "_lba", "_frame")
+
+    def __init__(self, manager: StorageManager, lba: int) -> None:
+        self._manager = manager
+        self._lba = lba
+
+    def __enter__(self) -> SlottedPage:
+        frame = self._frame = self._manager.fetch(self._lba)
+        return frame.page
+
+    def __exit__(
+        self,
+        exc_type: type[BaseException] | None,
+        exc: BaseException | None,
+        tb: TracebackType | None,
+    ) -> None:
+        self._frame.unpin()
+
+
+class _UpdateOp:
+    """The ``with manager.update(lba)`` guard: one bracketed update op."""
+
+    __slots__ = ("_manager", "_lba", "_frame", "_ops_before")
+
+    def __init__(self, manager: StorageManager, lba: int) -> None:
+        self._manager = manager
+        self._lba = lba
+
+    def __enter__(self) -> SlottedPage:
+        frame = self._frame = self._manager.fetch(self._lba)
+        tracker = frame.tracker
+        self._ops_before = len(tracker.op_sizes)
+        tracker.begin_op()
+        return frame.page
+
+    def __exit__(
+        self,
+        exc_type: type[BaseException] | None,
+        exc: BaseException | None,
+        tb: TracebackType | None,
+    ) -> None:
+        manager = self._manager
+        frame = self._frame
+        tracker = frame.tracker
+        lsn = 0
+        try:
+            if exc_type is None:
+                lsn = manager._take_lsn()
+                frame.page.set_lsn(lsn)
+        finally:
+            tracker.end_op()
+            sizes = tracker.op_sizes
+            if len(sizes) > self._ops_before:
+                manager.stats.per_file_op_sizes.setdefault(
+                    frame.file_id, []
+                ).append(sizes[-1])
+            wal = manager.wal
+            if wal is not None and lsn:
+                wal.log_update(lsn, self._lba, tracker.last_op_redo)
+                manager._txn_locked_lbas.add(self._lba)
+            frame.mark_dirty()
+            manager.stats.update_ops += 1
+            manager.clock.advance(manager.host_costs.ipa_tracking_us, "host")
+            frame.unpin()

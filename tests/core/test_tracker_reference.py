@@ -6,8 +6,9 @@ compared, filed as header/footer metadata or as a body byte, added to
 the per-residency offset sets and to the open operation's delta-record.
 The real tracker reaches the same results with whole-span integer masks;
 hypothesis drives both with the same write sequences and every
-observable result must agree, including the key order of the WAL redo
-payload ``last_op_changes``.
+observable result must agree.  The real tracker's WAL redo pair area
+``last_op_redo`` must equal the plain pair encoding of the model's
+``last_op_changes`` in ascending offset order.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import IPA_DISABLED, SCHEME_2X4, IpaScheme
-from repro.core.delta import DeltaRecord
+from repro.core.delta import DeltaRecord, encode_pairs
 from repro.core.tracker import ChangeTracker
 
 HEADER_END = 24
@@ -132,6 +133,13 @@ class ReferenceTracker:
         self.op_sizes = []
 
 
+def redo_bytes(t):
+    """The WAL redo pair area of the last closed op."""
+    if isinstance(t, ReferenceTracker):
+        return encode_pairs(sorted(t.last_op_changes.items()))
+    return t.last_op_redo
+
+
 def observe(t):
     """Everything a caller can read off a tracker."""
     return {
@@ -141,7 +149,7 @@ def observe(t):
         "op_sizes": list(t.op_sizes),
         "net": t.net_changed_offsets,
         "meta": t.meta_changed_offsets,
-        "last_op_changes": list(t.last_op_changes.items()),
+        "last_op_redo": redo_bytes(t),
         "ipa_eligible": t.ipa_eligible,
         "dirty": t.dirty,
         "existing_records": t.existing_records,
@@ -285,9 +293,25 @@ def test_boundary_straddling_writes(scheme, writes_in_op):
         [("begin",), ("write", 40, [1]), ("end",)] * 3,
         # Flush mid-operation drops the open op.
         [("begin",), ("write", 40, [1]), ("reset", 1), ("write", 41, [1]), ("end",)],
-        # Body bytes come before meta bytes in the redo payload.
+        # Redo pairs are in ascending offset order, header to footer.
         [("begin",), ("write", 6, [1, 2]), ("write", 90, [3]), ("write", 80, [4]),
          ("end",)],
+        # In-op rewrites: 0 -> 1 -> 0 and 0 -> 1 -> 2, field and record sized.
+        [("begin",), ("write", 100, [1, 1]), ("write", 100, [0, 2]), ("end",)],
+        [("begin",), ("write", 40, [1] * 20), ("write", 50, [0] * 20),
+         ("write", 45, [2, 0, 2]), ("end",)],
+        [("begin",), ("write", 30, [1] * 12), ("write", 38, [2] * 12),
+         ("write", 100, [1]), ("write", 20, [3] * 16), ("end",)],
+        # Header/footer-straddling record-sized spans.
+        [("begin",), ("write", HEADER_END - 6, [1] * 30), ("end",)],
+        [("begin",), ("write", BODY_END - 20, [2] * 30), ("end",)],
+        # A record span holding bytes equal to their old value.
+        [("write", 0, [1] * PAGE_SIZE), ("begin",),
+         ("write", 40, [1, 2, 2, 1, 1, 1, 2, 1, 2, 2, 1, 2]), ("end",)],
+        # Empty ops: nothing written, or every byte rewritten unchanged.
+        [("begin",), ("end",)],
+        [("begin",), ("write", 40, [1]), ("end",), ("begin",), ("end",)],
+        [("begin",), ("write", 40, [0] * 20), ("end",)],
     ],
 )
 def test_edge_cases(steps):
@@ -301,4 +325,4 @@ def test_redo_payload_does_not_alias_the_callers_buffer():
     t.on_write(100, b"\x00\x00", data)
     data[:] = b"\x09\x09"  # the caller reuses its buffer
     t.end_op()
-    assert t.last_op_changes == {100: 1, 101: 2}
+    assert t.last_op_redo == encode_pairs([(100, 1), (101, 2)])

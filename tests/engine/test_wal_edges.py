@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine.wal import WriteAheadLog
+from repro.engine.wal import WriteAheadLog, encode_pairs
 from repro.flash.chip import FlashChip
 from repro.flash.errors import IllegalProgramError
 from repro.flash.geometry import FlashGeometry
@@ -22,23 +22,23 @@ class TestWalEdges:
         wal = tiny_wal(blocks=1)  # 4 pages x 256 B = 1 KB of log
         with pytest.raises(IllegalProgramError):
             for i in range(200):
-                wal.log_update(i + 1, 0, {10: 1, 11: 2})
+                wal.log_update(i + 1, 0, encode_pairs([(10, 1), (11, 2)]))
                 wal.commit()
 
     def test_truncate_resets_capacity(self):
         wal = tiny_wal(blocks=1)
         for i in range(10):
-            wal.log_update(i + 1, 0, {10: 1})
+            wal.log_update(i + 1, 0, encode_pairs([(10, 1)]))
             wal.commit()
         wal.truncate()
         for i in range(10):  # same volume fits again
-            wal.log_update(100 + i, 0, {10: 1})
+            wal.log_update(100 + i, 0, encode_pairs([(10, 1)]))
             wal.commit()
         assert len(wal.durable_records()) == 10
 
     def test_discard_drops_buffered(self):
         wal = tiny_wal()
-        wal.log_update(1, 0, {10: 1})
+        wal.log_update(1, 0, encode_pairs([(10, 1)]))
         wal.discard()
         wal.commit()
         assert wal.durable_records() == []
@@ -53,7 +53,7 @@ class TestWalEdges:
         wal = tiny_wal()
         # One commit bigger than a log page (256 B).
         big = {i: i % 256 for i in range(200)}  # 15 + 600 bytes encoded
-        wal.log_update(1, 0, big)
+        wal.log_update(1, 0, encode_pairs(big.items()))
         wal.commit()
         records = wal.durable_records()
         assert len(records) == 1
@@ -61,5 +61,5 @@ class TestWalEdges:
 
     def test_empty_changes_not_logged(self):
         wal = tiny_wal()
-        wal.log_update(1, 0, {})
+        wal.log_update(1, 0, encode_pairs([]))
         assert wal.stats.records_logged == 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine.wal import WriteAheadLog
+from repro.engine.wal import WriteAheadLog, encode_pairs
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 
@@ -18,7 +18,7 @@ def fresh_wal(blocks=4):
 
 def commit_three(wal):
     for i in range(3):
-        wal.log_update(i + 1, i, {10: i})
+        wal.log_update(i + 1, i, encode_pairs([(10, i)]))
         wal.commit()
 
 
@@ -70,7 +70,7 @@ class TestGroupCommit:
         wal.flush_group()  # veto-overflow path: forced, group stays open
         assert wal.in_group
         assert len(wal.durable_frames()) == 3
-        wal.log_update(9, 9, {10: 9})
+        wal.log_update(9, 9, encode_pairs([(10, 9)]))
         wal.commit()
         wal.end_group()
         assert len(wal.durable_frames()) == 4

@@ -21,6 +21,7 @@ from repro.engine.wal import (
     decode_frames,
     decode_records,
     encode_frame,
+    encode_pairs,
 )
 from repro.fault import FaultInjector, PowerLossError
 from repro.flash.chip import FlashChip
@@ -73,7 +74,7 @@ class TestTornCommitAcrossPageBoundary:
         on the device, and the frame must still not decode.
         """
         wal = make_wal()
-        wal.log_update(1, 0, changes(3))
+        wal.log_update(1, 0, encode_pairs(changes(3).items()))
         wal.commit()
         first = wal.durable_records()
         assert len(first) == 1
@@ -87,7 +88,7 @@ class TestTornCommitAcrossPageBoundary:
             s for s in range(10_000)
             if tear_seed_filter(random.Random(s).randrange(space_left + 1), space_left)
         )
-        wal.log_update(2, 1, changes(30))
+        wal.log_update(2, 1, encode_pairs(changes(30).items()))
         FaultInjector(crash_after_ops=1, seed=seed).attach(wal.chip)
         with pytest.raises(PowerLossError):
             wal.commit()
@@ -108,9 +109,9 @@ class TestTornCommitAcrossPageBoundary:
 class TestDeviceTruthDurability:
     def test_fresh_instance_sees_same_committed_prefix(self):
         wal = make_wal()
-        wal.log_update(1, 0, changes(2))
+        wal.log_update(1, 0, encode_pairs(changes(2).items()))
         wal.commit()
-        wal.log_update(2, 1, changes(4))
+        wal.log_update(2, 1, encode_pairs(changes(4).items()))
         wal.commit()
         fresh = WriteAheadLog(wal.chip)
         assert fresh.durable_records() == wal.durable_records()
@@ -118,10 +119,10 @@ class TestDeviceTruthDurability:
 
     def test_fresh_instance_appends_without_clobbering(self):
         wal = make_wal()
-        wal.log_update(1, 0, changes(2))
+        wal.log_update(1, 0, encode_pairs(changes(2).items()))
         wal.commit()
         fresh = WriteAheadLog(wal.chip)
-        fresh.log_update(2, 1, changes(2))
+        fresh.log_update(2, 1, encode_pairs(changes(2).items()))
         fresh.commit()
         final = WriteAheadLog(wal.chip)
         records = final.durable_records()
@@ -129,7 +130,7 @@ class TestDeviceTruthDurability:
 
     def test_uncommitted_buffer_is_volatile(self):
         wal = make_wal()
-        wal.log_update(1, 0, changes(2))
+        wal.log_update(1, 0, encode_pairs(changes(2).items()))
         assert WriteAheadLog(wal.chip).durable_records() == []
         wal.crash()
         wal.commit()  # empty buffer: nothing to flush
